@@ -7,6 +7,7 @@ seeded Monte-Carlo experiment harness with CSV output.
 from .algos import (
     Action,
     AlgoResult,
+    BatchResult,
     BudgetError,
     GradState,
     ShapeError,
@@ -17,10 +18,13 @@ from .algos import (
     dexplore,
     distance_series,
     explore,
+    explore_batch,
     favorable_series,
     gradexplore,
     naive,
+    naive_batch,
     uniform,
+    uniform_batch,
 )
 from .bounds import (
     BoundReport,
@@ -41,6 +45,7 @@ from .env import (
     RngStream,
     Setting,
     ShapeClass,
+    VariateBlock,
     augment,
     gaps,
     make_setting,

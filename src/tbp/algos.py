@@ -20,6 +20,7 @@ from .env import (
     Problem,
     RngStream,
     ShapeClass,
+    VariateBlock,
     augment,
     gaps,
     sample_mean,
@@ -32,6 +33,7 @@ __all__ = [
     "StepRecord",
     "Trajectory",
     "AlgoResult",
+    "BatchResult",
     "GradState",
     "BudgetError",
     "ShapeError",
@@ -42,6 +44,9 @@ __all__ = [
     "ctb",
     "naive",
     "uniform",
+    "explore_batch",
+    "naive_batch",
+    "uniform_batch",
     "distance_series",
     "favorable_series",
 ]
@@ -103,6 +108,21 @@ class AlgoResult:
 
 
 @dataclass(frozen=True, eq=False)
+class BatchResult:
+    """Outcome of one lockstep run over a :class:`VariateBlock` of replications.
+
+    Row ``j`` is replication ``start + j`` and holds what the scalar walker
+    returns on a fresh ``RngStream(seed, start + j)``: ``k_hat`` (``None``
+    for :func:`uniform_batch`), the ``+/-1`` labels of the original arms, and
+    the budget spent.
+    """
+
+    k_hat: Optional[np.ndarray]
+    labels: np.ndarray
+    total_budget: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class GradState:
     """Arms appended by the slope walk, plus how many are truly above threshold."""
 
@@ -121,6 +141,30 @@ def budget_split(K: int, T: int) -> Tuple[int, int]:
     if t2 < 1:
         raise BudgetError(f"budget {T} too small: need T >= {3 * t1} for K = {K}")
     return t1, t2
+
+
+def _naive_split(K: int, T: int) -> Tuple[int, int]:
+    """Walk length ``H = max_depth(K)`` and per-step draws ``floor(T / H)`` of :func:`naive`."""
+    H = max_depth(K)
+    n = T // H
+    if n < 1:
+        raise BudgetError(f"budget {T} too small: need T >= {H}")
+    return H, n
+
+
+def _uniform_split(K: int, T: int) -> int:
+    """Per-arm draws ``floor(T / K)`` of :func:`uniform`."""
+    if T < K:
+        raise BudgetError(f"budget {T} too small: need T >= K = {K}")
+    return T // K
+
+
+def _real_arms(problem: Problem) -> np.ndarray:
+    """Mask of the arms that cost budget: every arm but the sentinels."""
+    real = np.ones(problem.K, dtype=bool)
+    if problem.sentinels is not None:
+        real[[0, -1]] = False
+    return real
 
 
 def _estimate(problem: Problem, arm: int, n: int, rng: RngStream) -> Tuple[float, int]:
@@ -152,10 +196,11 @@ def _as_monotone_walk_problem(problem: Problem, check_shape: bool) -> Problem:
     return work
 
 
-def _crossing_labels(work: Problem, k_hat_aug: int) -> Tuple[int, Classification]:
-    crossing = k_hat_aug - 1  # original index space, in 1..K+1
+def _crossing_labels(work: Problem, k_hat_aug):
+    """Crossing in original indices (``1..K+1``) and its labels; broadcasts over a row vector."""
+    crossing = k_hat_aug - 1
     arms = np.arange(1, work.n_original + 1)
-    return crossing, Classification(np.where(arms >= crossing, 1, -1))
+    return crossing, np.where(arms >= np.expand_dims(crossing, -1), 1, -1)
 
 
 def explore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -> AlgoResult:
@@ -193,8 +238,8 @@ def explore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = Tru
             raise RuntimeError("no branch matched")
         steps.append(StepRecord(v, slot_means, act, spent))
         v = nxt
-    k_hat, q_hat = _crossing_labels(work, v.right)
-    return AlgoResult(k_hat, q_hat, total, Trajectory(tuple(steps), t1, t2, v), work)
+    k_hat, labels = _crossing_labels(work, v.right)
+    return AlgoResult(k_hat, Classification(labels), total, Trajectory(tuple(steps), t1, t2, v), work)
 
 
 def dexplore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -> AlgoResult:
@@ -337,10 +382,7 @@ def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True)
     """
     work = _as_monotone_walk_problem(problem, check_shape)
     tau = work.tau
-    H = max_depth(work.K)
-    n = T // H
-    if n < 1:
-        raise BudgetError(f"budget {T} too small: need T >= {H}")
+    H, n = _naive_split(work.K, T)
     v = root(work.K)
     steps: List[StepRecord] = []
     total = 0
@@ -355,17 +397,14 @@ def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True)
             nxt, act = children(v)[0], Action.LEFT
         steps.append(StepRecord(v, {"m": est}, act, spent))
         v = nxt
-    k_hat, q_hat = _crossing_labels(work, v.right)
-    return AlgoResult(k_hat, q_hat, total, Trajectory(tuple(steps), H, n, v), work)
+    k_hat, labels = _crossing_labels(work, v.right)
+    return AlgoResult(k_hat, Classification(labels), total, Trajectory(tuple(steps), H, n, v), work)
 
 
 def uniform(problem: Problem, T: int, rng: RngStream) -> AlgoResult:
     """Sample every arm ``floor(T / K)`` times and threshold the sample means."""
-    K = problem.K
-    if T < K:
-        raise BudgetError(f"budget {T} too small: need T >= K = {K}")
-    n = T // K
-    real = np.array([not problem.is_sentinel(k) for k in range(1, K + 1)])
+    n = _uniform_split(problem.K, T)
+    real = _real_arms(problem)
     est = problem.means.copy()
     draws = rng.generator.standard_normal(int(real.sum()))
     est[real] = est[real] + (problem.sigma / math.sqrt(n)) * draws
@@ -374,6 +413,100 @@ def uniform(problem: Problem, T: int, rng: RngStream) -> AlgoResult:
         labels = labels[1:-1]
     total = n * int(real.sum())
     return AlgoResult(None, Classification(labels), total, None, problem)
+
+
+def explore_batch(
+    problem: Problem, T: int, variates: VariateBlock, *, check_shape: bool = True
+) -> BatchResult:
+    """:func:`explore` for every replication of ``variates`` in lockstep.
+
+    The walk state is a few ``(reps,)`` arrays: the bracket ``L, R`` (with
+    ``M = (L + R) // 2``), the depth, and each row's read cursor into its
+    variates, plus an ancestor stack.  A row consumes one variate per
+    distinct non-sentinel arm of its node, in slot order, as the scalar walk
+    does.  A leaf's duplicate descent pushes the same ``(L, R)``; ``PARENT``
+    pops, and the root stays put.  Raises before reading any variate when
+    the shape or budget rule fails.
+    """
+    work = _as_monotone_walk_problem(problem, check_shape)
+    t1, t2 = budget_split(work.K, T)
+    z = variates.prefix(3 * t1)
+    reps, K, tau = variates.reps, work.K, work.tau
+    rows = np.arange(reps)
+    scale = work.sigma / math.sqrt(t2)
+    L = np.ones(reps, dtype=np.int64)
+    R = np.full(reps, K, dtype=np.int64)
+    depth = np.zeros(reps, dtype=np.int64)
+    cursor = np.zeros(reps, dtype=np.int64)
+    stack_l = np.empty((reps, t1), dtype=np.int64)
+    stack_r = np.empty((reps, t1), dtype=np.int64)
+
+    def sample(arm: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+        # Sentinels are exact infinities, unmoved by the variate they skip.
+        nonlocal cursor
+        est = work.means[arm - 1] + scale * z[rows, cursor]
+        cursor = cursor + drawn
+        return est
+
+    for _ in range(t1):
+        M = (L + R) // 2
+        leaf = M == L  # slots l and m share one arm, hence one estimate
+        # Arms 1 and K are the sentinels; only l can be 1 and only r can be K.
+        ml = sample(L, L > 1)
+        mm = np.where(leaf, ml, sample(M, ~leaf))
+        mr = sample(R, R < K)
+        bracket = (ml <= tau) & (tau <= mr)
+        right = bracket & (mm <= tau)
+        down = np.flatnonzero(bracket)
+        stack_l[down, depth[down]] = L[down]
+        stack_r[down, depth[down]] = R[down]
+        depth[down] += 1
+        L = np.where(right, M, L)
+        R = np.where(bracket & ~right, M, R)
+        up = np.flatnonzero(~bracket & (depth > 0))
+        depth[up] -= 1
+        L[up] = stack_l[up, depth[up]]
+        R[up] = stack_r[up, depth[up]]
+    k_hat, labels = _crossing_labels(work, R)
+    return BatchResult(k_hat, labels, t2 * cursor)
+
+
+def naive_batch(
+    problem: Problem, T: int, variates: VariateBlock, *, check_shape: bool = True
+) -> BatchResult:
+    """:func:`naive` for every replication of ``variates`` in lockstep."""
+    work = _as_monotone_walk_problem(problem, check_shape)
+    H, n = _naive_split(work.K, T)
+    z = variates.prefix(H)
+    reps, tau = variates.reps, work.tau
+    rows = np.arange(reps)
+    scale = work.sigma / math.sqrt(n)
+    L = np.ones(reps, dtype=np.int64)
+    R = np.full(reps, work.K, dtype=np.int64)
+    cursor = np.zeros(reps, dtype=np.int64)
+    for _ in range(H):
+        M = (L + R) // 2
+        est = work.means[M - 1] + scale * z[rows, cursor]
+        cursor += M > 1  # arm 1, the low sentinel, is free
+        inner = R > L + 1  # a leaf descends into its own duplicate
+        L = np.where(inner & (est <= tau), M, L)
+        R = np.where(inner & (est > tau), M, R)
+    k_hat, labels = _crossing_labels(work, R)
+    return BatchResult(k_hat, labels, n * cursor)
+
+
+def uniform_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
+    """:func:`uniform` for every replication of ``variates`` at once."""
+    n = _uniform_split(problem.K, T)
+    real = _real_arms(problem)
+    n_real = int(real.sum())
+    z = variates.prefix(n_real)
+    est = np.tile(problem.means, (variates.reps, 1))
+    est[:, real] = problem.means[real] + (problem.sigma / math.sqrt(n)) * z
+    labels = np.where(est >= problem.tau, 1, -1)
+    if problem.sentinels is not None:
+        labels = labels[:, 1:-1]
+    return BatchResult(None, labels, np.full(variates.reps, n * n_real, dtype=np.int64))
 
 
 def _slot_arm(node: Node, slot: str) -> int:

@@ -64,7 +64,8 @@ def _parse_grid(spec: str) -> List[float]:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value file supplying flag defaults")
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    sub.add_argument("--threads", type=int, help="worker processes (default: TBP_THREADS or all cores)")
+    sub.add_argument("--threads", type=int, help="worker processes (default: TBP_THREADS or all cores; "
+                          "capped at the usable cores and the replications)")
 
 
 def _add_instance_flags(sub: argparse.ArgumentParser) -> None:

@@ -21,6 +21,7 @@ __all__ = [
     "GapVector",
     "Classification",
     "RngStream",
+    "VariateBlock",
     "true_labels",
     "gaps",
     "shape_check",
@@ -217,6 +218,41 @@ class RngStream:
             ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
             self._generator = np.random.Generator(np.random.PCG64(ss))
         return self._generator
+
+
+class VariateBlock:
+    """Standard-normal prefixes of the streams ``RngStream(seed, i)``, ``start <= i < stop``.
+
+    Row ``i - start`` of :meth:`prefix` holds the first variates stream ``i``
+    yields.  ``standard_normal(n)`` returns the same values as ``n`` scalar
+    draws, so a walk that reads its row left to right sees exactly what a
+    scalar walk on a fresh stream draws.  Each replication's generator is
+    built once; the block grows by drawing further columns when a caller
+    needs a longer prefix, so every cell of a sweep reads one shared prefix.
+    """
+
+    def __init__(self, seed: int, start: int, stop: int) -> None:
+        if not 0 <= start < stop:
+            raise ValueError("need 0 <= start < stop")
+        self.seed, self.start, self.stop = int(seed), int(start), int(stop)
+        self._generators: Optional[list] = None
+        self._block = np.empty((stop - start, 0))
+
+    @property
+    def reps(self) -> int:
+        return self.stop - self.start
+
+    def prefix(self, n: int) -> np.ndarray:
+        """The first ``n`` variates of every stream, as a read-only ``(reps, n)`` view."""
+        have = self._block.shape[1]
+        if n > have:
+            if self._generators is None:
+                self._generators = [RngStream(self.seed, i).generator
+                                    for i in range(self.start, self.stop)]
+            more = np.stack([g.standard_normal(n - have) for g in self._generators])
+            self._block = np.concatenate([self._block, more], axis=1)
+            self._block.setflags(write=False)
+        return self._block[:, :n]
 
 
 def true_labels(problem: Problem) -> Classification:

@@ -1,23 +1,28 @@
 """Seeded Monte-Carlo experiment runner with CSV emission.
 
-Replications are independent tasks keyed by their replication index: trial
-``i`` always uses ``RngStream(base_seed, i)``, so results are identical
-whether replications run serially or across processes.  Per-replication
-outcomes are gathered into arrays indexed by replication before reduction,
-making the aggregation independent of scheduling and chunking.
+Replication ``i`` of every cell always draws from a fresh
+``RngStream(base_seed, i)``: its variates are a prefix of that stream.  A
+task covers one replication range across every cell of the sweep, reading
+each replication's prefix from one shared :class:`~tbp.env.VariateBlock`,
+so results are identical whether the range runs as one task in process or
+split across a pool.  Per-replication outcomes are gathered into arrays
+indexed by replication before reduction, making the aggregation
+independent of scheduling and chunking.
 """
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import algos
-from .env import Problem, RngStream, Setting, gaps, make_setting, true_labels
+from .env import Problem, RngStream, Setting, VariateBlock, gaps, make_setting, true_labels
 
 __all__ = [
     "ALGORITHMS",
@@ -27,6 +32,7 @@ __all__ = [
     "CSV_HEADER",
     "wilson_interval",
     "simple_regret",
+    "plan_tasks",
     "run_trial",
     "run_experiment",
     "render_csv",
@@ -42,6 +48,15 @@ CSV_HEADER = (
 
 #: Two-sided 95% normal quantile used by the Wilson interval.
 _Z95 = statistics.NormalDist().inv_cdf(0.975)
+
+#: Most replications one task covers, which bounds a task's variate block
+#: and label arrays at this many rows times the widest cell.
+_TASK_REPS = 1024
+
+#: Walkers that run every replication of a cell in lockstep.  ``ctb``'s three
+#: phases share one stream, so it walks each replication separately.
+_LOCKSTEP = {"explore": algos.explore_batch, "naive": algos.naive_batch,
+             "uniform": algos.uniform_batch}
 
 
 @dataclass(frozen=True)
@@ -70,12 +85,16 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {name!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
+        if not math.isfinite(self.tau):
+            raise ValueError("tau must be finite")
         if self.setting is Setting.CUSTOM:
             if not self.custom_means:
                 raise ValueError("custom setting requires custom_means")
             object.__setattr__(self, "custom_means", tuple(float(x) for x in self.custom_means))
-        elif self.delta <= 0:
-            raise ValueError("delta must be positive")
+        elif not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be finite and positive")
         if self.sweep_param is not None:
             if self.sweep_param not in ("delta", "K"):
                 raise ValueError("sweep_param must be 'delta' or 'K'")
@@ -87,6 +106,12 @@ class ExperimentConfig:
             if self.setting is Setting.CUSTOM:
                 raise ValueError("sweeps are not supported for custom instances")
             object.__setattr__(self, "sweep_values", vals)
+        if self.setting is not Setting.CUSTOM:
+            for K, delta in _grid(self):
+                if K < 3:
+                    raise ValueError(f"K must be >= 3 at every grid point, got {K}")
+                if not (math.isfinite(delta) and delta > 0):
+                    raise ValueError(f"delta must be finite and positive, got {delta}")
 
 
 @dataclass(frozen=True)
@@ -138,18 +163,6 @@ def _build_instance(config: ExperimentConfig, K: int, delta: float) -> Problem:
     return make_setting(config.setting, K, delta, config.tau, config.sigma)
 
 
-def _run_algo(problem: Problem, algo: str, T: int, rng: RngStream) -> algos.AlgoResult:
-    if algo == "explore":
-        return algos.explore(problem, T, rng)
-    if algo == "naive":
-        return algos.naive(problem, T, rng)
-    if algo == "uniform":
-        return algos.uniform(problem, T, rng)
-    if algo == "ctb":
-        return algos.ctb(problem, T, rng)
-    raise ValueError(f"unknown algorithm {algo!r}")
-
-
 def simple_regret(predicted: np.ndarray, truth: np.ndarray, gap_values: np.ndarray) -> float:
     """Largest gap among mislabeled arms; 0 when the classification is perfect."""
     mismatch = np.asarray(predicted) != np.asarray(truth)
@@ -158,13 +171,20 @@ def simple_regret(predicted: np.ndarray, truth: np.ndarray, gap_values: np.ndarr
     return float(np.max(np.asarray(gap_values)[mismatch]))
 
 
-def _trial(problem: Problem, truth: np.ndarray, gap_values: np.ndarray,
-           algo: str, T: int, rng: RngStream) -> Tuple[bool, float]:
-    result = _run_algo(problem, algo, T, rng)
-    mismatch = result.q_hat.labels != truth
-    if not mismatch.any():
-        return False, 0.0
-    return True, float(np.max(gap_values[mismatch]))
+def _outcomes(problem: Problem, algo: str, T: int,
+              variates: VariateBlock) -> Tuple[np.ndarray, np.ndarray]:
+    """Per replication of ``variates``: whether it erred, and its simple regret.
+
+    Raises :class:`~tbp.algos.BudgetError` before any replication runs when
+    the budget rule fails.
+    """
+    if algo == "ctb":
+        labels = np.stack([algos.ctb(problem, T, RngStream(variates.seed, i)).q_hat.labels
+                           for i in range(variates.start, variates.stop)])
+    else:
+        labels = _LOCKSTEP[algo](problem, T, variates).labels
+    mismatch = labels != true_labels(problem).labels
+    return mismatch.any(axis=1), np.max(np.where(mismatch, gaps(problem).gaps, 0.0), axis=1)
 
 
 def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool, float]:
@@ -173,24 +193,12 @@ def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool
     The regret of a perfect replication is 0; otherwise it is the largest gap
     among mislabeled arms.
     """
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}")
     problem = _build_instance(config, config.K, config.delta)
-    truth = true_labels(problem).labels
-    gap_values = gaps(problem).gaps
-    rng = RngStream(config.base_seed, rep_index)
-    return _trial(problem, truth, gap_values, algo, config.T, rng)
-
-
-def _run_block(config: ExperimentConfig, K: int, delta: float, algo: str,
-               start: int, stop: int) -> Tuple[int, np.ndarray, np.ndarray]:
-    problem = _build_instance(config, K, delta)
-    truth = true_labels(problem).labels
-    gap_values = gaps(problem).gaps
-    errs = np.zeros(stop - start, dtype=bool)
-    regrets = np.zeros(stop - start, dtype=np.float64)
-    for i, rep in enumerate(range(start, stop)):
-        rng = RngStream(config.base_seed, rep)
-        errs[i], regrets[i] = _trial(problem, truth, gap_values, algo, config.T, rng)
-    return start, errs, regrets
+    errs, regrets = _outcomes(problem, algo, config.T,
+                              VariateBlock(config.base_seed, rep_index, rep_index + 1))
+    return bool(errs[0]), float(regrets[0])
 
 
 def _grid(config: ExperimentConfig) -> List[Tuple[int, float]]:
@@ -199,6 +207,50 @@ def _grid(config: ExperimentConfig) -> List[Tuple[int, float]]:
     if config.sweep_param == "K":
         return [(int(v), config.delta) for v in config.sweep_values]
     return [(config.K, config.delta)]
+
+
+def _cells(config: ExperimentConfig) -> List[Tuple[int, float, str]]:
+    return [(K, delta, algo) for K, delta in _grid(config) for algo in config.algos]
+
+
+def _run_task(config: ExperimentConfig, start: int,
+              stop: int) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
+    """Replications ``start..stop`` of every cell, in :func:`_cells` order.
+
+    A cell whose budget rule fails yields ``None``.  Budget rules depend
+    only on the instance and ``T``, so every task skips the same cells.
+    """
+    variates = VariateBlock(config.base_seed, start, stop)
+    out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+    for K, delta in _grid(config):
+        problem = _build_instance(config, K, delta)
+        for algo in config.algos:
+            try:
+                out.append(_outcomes(problem, algo, config.T, variates))
+            except algos.BudgetError:
+                out.append(None)
+    return out
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def plan_tasks(reps: int, threads: int, cores: int) -> Tuple[int, List[Tuple[int, int]]]:
+    """Worker count and the replication ranges ``(start, stop)`` of the tasks.
+
+    Workers are ``min(threads, cores, tasks)``: never more than requested,
+    than the machine can run at once, or than there are tasks.  The ranges
+    split ``0..reps`` evenly across the workers, at most ``_TASK_REPS`` each.
+    """
+    if min(reps, threads, cores) < 1:
+        raise ValueError("reps, threads and cores must be >= 1")
+    workers = min(threads, cores, reps)
+    size = min(_TASK_REPS, -(-reps // workers))
+    return workers, [(s, min(s + size, reps)) for s in range(0, reps, size)]
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> List[ResultRow]:
@@ -210,47 +262,25 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> List[ResultRow
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
+    workers, ranges = plan_tasks(config.reps, threads, _usable_cores())
+    if workers == 1:
+        parts = [_run_task(config, start, stop) for start, stop in ranges]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_task, repeat(config), *zip(*ranges)))
     rows: List[ResultRow] = []
-    pool = ProcessPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for K, delta in _grid(config):
-            for algo in config.algos:
-                try:
-                    problem = _build_instance(config, K, delta)
-                    truth = true_labels(problem).labels
-                    gap_values = gaps(problem).gaps
-                    _trial(problem, truth, gap_values, algo, config.T,
-                           RngStream(config.base_seed, 0))
-                except algos.BudgetError:
-                    rows.append(ResultRow(config.setting.value, algo, K, config.T, delta,
-                                          config.sigma, config.tau, config.reps,
-                                          config.base_seed, skipped=True))
-                    continue
-                errs = np.zeros(config.reps, dtype=bool)
-                regrets = np.zeros(config.reps, dtype=np.float64)
-                if pool is None:
-                    _, errs[:], regrets[:] = _run_block(config, K, delta, algo, 0, config.reps)
-                else:
-                    chunk = max(1, math.ceil(config.reps / (threads * 4)))
-                    futures = [
-                        pool.submit(_run_block, config, K, delta, algo, s,
-                                    min(s + chunk, config.reps))
-                        for s in range(0, config.reps, chunk)
-                    ]
-                    for fut in futures:
-                        start, e, r = fut.result()
-                        errs[start : start + e.size] = e
-                        regrets[start : start + r.size] = r
-                n_err = int(errs.sum())
-                ci_low, ci_high = wilson_interval(n_err, config.reps)
-                est = ErrorEstimate(n_err, n_err / config.reps, ci_low, ci_high,
-                                    float(np.sum(regrets) / config.reps))
-                rows.append(ResultRow(config.setting.value, algo, K, config.T, delta,
-                                      config.sigma, config.tau, config.reps,
-                                      config.base_seed, skipped=False, estimate=est))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for c, (K, delta, algo) in enumerate(_cells(config)):
+        est = None
+        if parts[0][c] is not None:
+            errs = np.concatenate([part[c][0] for part in parts])
+            regrets = np.concatenate([part[c][1] for part in parts])
+            n_err = int(errs.sum())
+            ci_low, ci_high = wilson_interval(n_err, config.reps)
+            est = ErrorEstimate(n_err, n_err / config.reps, ci_low, ci_high,
+                                float(np.sum(regrets) / config.reps))
+        rows.append(ResultRow(config.setting.value, algo, K, config.T, delta, config.sigma,
+                              config.tau, config.reps, config.base_seed,
+                              skipped=est is None, estimate=est))
     return rows
 
 

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from tbp.cli import dispatch
 
 
@@ -190,6 +192,27 @@ class TestDispatch:
         code, out, _ = run_cli(capsys, "run", "--config", str(conf), "--reps", "3")
         assert code == 0
         assert ",3," in out.splitlines()[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--setting", "1", "--algo", "explore", "--T", "300", "--delta", "0.3",
+         "--sweep", "K", "--grid", "2,4"],
+        ["run", "--setting", "1", "--algo", "explore", "--K", "10", "--T", "300",
+         "--delta", "nan"],
+        ["run", "--setting", "1", "--algo", "explore", "--K", "10", "--T", "300",
+         "--delta", "0.3", "--sigma", "inf"],
+        ["run", "--setting", "custom", "--means=0.1,0.2", "--algo", "uniform", "--T", "30",
+         "--tau", "inf"],
+    ])
+    def test_unhonourable_values_are_config_errors(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--threads", "1")
+        assert code == 1
+        assert "config error" in err
+
+    def test_shape_violation_is_runtime_error(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--setting", "custom", "--means=0.5,-0.1,0.2",
+                               "--algo", "explore", "--T", "300", "--threads", "1")
+        assert code == 2
+        assert "relaxed-monotone" in err
 
     def test_env_threads(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("TBP_THREADS", "1")

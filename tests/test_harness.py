@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import tbp.algos
 from tbp import ExperimentConfig, Setting, run_experiment, run_trial, wilson_interval, write_csv
-from tbp.harness import CSV_HEADER, _row_line, simple_regret
+from tbp.harness import CSV_HEADER, _row_line, plan_tasks, simple_regret
 
 
 def cfg(**overrides):
@@ -40,6 +41,23 @@ class TestConfigValidation:
     def test_custom_requires_means(self):
         with pytest.raises(ValueError):
             cfg(setting=Setting.CUSTOM, custom_means=None)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(K=2),
+        dict(sweep_param="K", sweep_values=(2, 4)),
+        dict(delta=float("nan")),
+        dict(delta=float("inf")),
+        dict(sweep_param="delta", sweep_values=(0.1, float("inf"))),
+        dict(sweep_param="delta", sweep_values=(-0.1, 0.2)),
+        dict(sigma=float("inf")),
+        dict(sigma=float("nan")),
+        dict(sigma=-1.0),
+        dict(tau=float("inf")),
+        dict(setting=Setting.CUSTOM, custom_means=(0.1,), K=1, sigma=float("inf")),
+    ])
+    def test_rejects_values_no_instance_can_honour(self, overrides):
+        with pytest.raises(ValueError):
+            cfg(**overrides)
 
 
 class TestWilson:
@@ -124,6 +142,51 @@ class TestRunExperiment:
             est = row.estimate
             assert 0 <= est.errors <= row.reps
             assert est.ci_low <= est.rate <= est.ci_high
+
+
+class TestPlanTasks:
+    def test_single_replication_gets_one_worker(self):
+        assert plan_tasks(1, 64, 2) == (1, [(0, 1)])
+
+    def test_workers_capped_by_cores(self):
+        assert plan_tasks(500, 4, 2) == (2, [(0, 250), (250, 500)])
+
+    def test_workers_capped_by_replications(self):
+        assert plan_tasks(3, 8, 16) == (3, [(0, 1), (1, 2), (2, 3)])
+
+    def test_serial_runs_one_range(self):
+        assert plan_tasks(1000, 1, 8) == (1, [(0, 1000)])
+
+    def test_ranges_bounded_and_contiguous(self):
+        workers, ranges = plan_tasks(5000, 2, 2)
+        assert workers == 2
+        assert ranges[0][0] == 0 and ranges[-1][1] == 5000
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+        assert max(stop - start for start, stop in ranges) <= 1024
+
+    @pytest.mark.parametrize("args", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    def test_rejects_nonpositive(self, args):
+        with pytest.raises(ValueError):
+            plan_tasks(*args)
+
+
+class TestNoHiddenTrials:
+    def test_ctb_runs_once_per_replication(self, monkeypatch):
+        calls = []
+        real_ctb = tbp.algos.ctb
+
+        def counting_ctb(problem, T, rng):
+            calls.append(problem.K)
+            return real_ctb(problem, T, rng)
+
+        monkeypatch.setattr(tbp.algos, "ctb", counting_ctb)
+        # K = 257 needs floor(400 / 34) >= 12 and is skipped.
+        c = cfg(setting=Setting.S2_CONCAVE, algos=("ctb", "uniform"), T=1200, delta=0.3,
+                reps=4, sweep_param="K", sweep_values=(3, 9, 257))
+        rows = run_experiment(c)
+        assert [r.skipped for r in rows if r.algo == "ctb"] == [False, False, True]
+        assert calls.count(3) == calls.count(9) == c.reps
+        assert calls.count(257) == 1  # the call that raises BudgetError
 
 
 class TestCsv:
