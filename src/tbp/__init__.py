@@ -15,6 +15,7 @@ from .algos import (
     Trajectory,
     budget_split,
     ctb,
+    ctb_batch,
     dexplore,
     distance_series,
     explore,
@@ -47,6 +48,7 @@ from .env import (
     ShapeClass,
     VariateBlock,
     augment,
+    gap_rounds_away,
     gaps,
     make_setting,
     sample_mean,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +42,13 @@ __all__ = [
     "dexplore",
     "gradexplore",
     "ctb",
+    "ctb_check",
     "naive",
     "uniform",
     "explore_batch",
     "naive_batch",
     "uniform_batch",
+    "ctb_batch",
     "distance_series",
     "favorable_series",
 ]
@@ -113,8 +115,9 @@ class BatchResult:
 
     Row ``j`` is replication ``start + j`` and holds what the scalar walker
     returns on a fresh ``RngStream(seed, start + j)``: ``k_hat`` (``None``
-    for :func:`uniform_batch`), the ``+/-1`` labels of the original arms, and
-    the budget spent.
+    for :func:`uniform_batch`; ``0`` in a :func:`ctb_batch` row where
+    :func:`ctb` returns ``None``), the ``+/-1`` labels of the original arms,
+    and the budget spent.
     """
 
     k_hat: Optional[np.ndarray]
@@ -150,6 +153,15 @@ def _naive_split(K: int, T: int) -> Tuple[int, int]:
     if n < 1:
         raise BudgetError(f"budget {T} too small: need T >= {H}")
     return H, n
+
+
+def _grad_split(K: int, budget: int) -> Tuple[int, int]:
+    """``budget_split(K, 3 * budget)`` of :func:`gradexplore`, which needs ``T2 >= 12``."""
+    if budget >= 1:
+        t1, t2 = budget_split(K, 3 * budget)
+        if t2 >= 12:
+            return t1, t2
+    raise BudgetError(f"budget {budget} too small: need floor(budget / T1) >= 12")
 
 
 def _uniform_split(K: int, T: int) -> int:
@@ -286,9 +298,7 @@ def gradexplore(
     if check_shape and not shape_check(problem, ShapeClass.CONCAVE):
         raise ShapeError("means are not concave")
     tau = problem.tau
-    t1, t2 = budget_split(problem.K, 3 * budget)
-    if t2 < 12:
-        raise BudgetError(f"budget {budget} too small: need floor(budget / T1) >= 12")
+    t1, t2 = _grad_split(problem.K, budget)
     n = max(1, t2 // 12)
     v = root(problem.K)
     steps: List[StepRecord] = []
@@ -338,6 +348,15 @@ def _lower_median(values: Tuple[int, ...]) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
+def ctb_check(problem: Problem, T: int, *, check_shape: bool = True) -> Tuple[int, int]:
+    """Raise what :func:`ctb` raises before its first draw; else the slope walk's ``(T1, T2)``."""
+    if problem.sentinels is not None:
+        raise ValueError("ctb expects an un-augmented problem")
+    if check_shape and not shape_check(problem, ShapeClass.CONCAVE):
+        raise ShapeError("means are not concave")
+    return _grad_split(problem.K + 2, T // 3)
+
+
 def ctb(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -> AlgoResult:
     """Concave thresholding: slope walk, then two directional crossing searches.
 
@@ -348,10 +367,7 @@ def ctb(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -
     decreasing segment ``[k_hat, K]`` (searched by :func:`dexplore`), and arm
     ``k`` is labeled above iff ``l <= k <= r`` for the two crossings found.
     """
-    if problem.sentinels is not None:
-        raise ValueError("ctb expects an un-augmented problem")
-    if check_shape and not shape_check(problem, ShapeClass.CONCAVE):
-        raise ShapeError("means are not concave")
+    ctb_check(problem, T, check_shape=check_shape)
     K = problem.K
     b = T // 3
     state, traj, spent = gradexplore(problem, b, rng, check_shape=False)
@@ -415,58 +431,75 @@ def uniform(problem: Problem, T: int, rng: RngStream) -> AlgoResult:
     return AlgoResult(None, Classification(labels), total, None, problem)
 
 
+def _walking(t1: np.ndarray) -> np.ndarray:
+    """Rows still walking at each step, for ``t1`` sorted longest first: they are a prefix."""
+    return np.searchsorted(-t1, -np.arange(int(t1[0]) if t1.size else 0), side="left")
+
+
+def _bracket_walk(K, t1: np.ndarray, tau, scale, mean_at: Callable, z: np.ndarray,
+                  zrow: np.ndarray, cursor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`explore`'s walk for every row at once.
+
+    Row ``r`` walks the tree over ``K[r]`` augmented arms, whose sentinels
+    are arms ``1`` and ``K[r]``, for ``t1[r]`` steps; ``t1`` is sorted longest
+    first.  It reads its variates from ``z[zrow[r]]`` starting at
+    ``cursor[r]``, one per distinct non-sentinel arm of its node in slot
+    order, and ``mean_at(arm, n)`` gives the true means of ``arm`` for rows
+    ``0..n``.  ``K``, ``tau`` and ``scale`` may be scalars.  A leaf's
+    duplicate descent pushes the same ``(L, R)``; ``PARENT`` pops, and the
+    root stays put.  Returns each row's final ``R`` and its cursor.
+    """
+    rows = cursor.size
+    K, tau, scale = (np.broadcast_to(x, (rows,)) for x in (K, tau, scale))
+    L = np.ones(rows, dtype=np.int64)
+    R = K.astype(np.int64)
+    depth = np.zeros(rows, dtype=np.int64)
+    cursor = cursor.copy()
+    steps = int(t1[0]) if rows else 0
+    stack_l = np.empty((rows, steps), dtype=np.int64)
+    stack_r = np.empty((rows, steps), dtype=np.int64)
+    for n in _walking(t1):
+        # Views of the walking rows: writes through them update the state.
+        l, r, c, zr, sc, tn = L[:n], R[:n], cursor[:n], zrow[:n], scale[:n], tau[:n]
+        M = (l + r) // 2
+        leaf = M == l  # slots l and m share one arm, hence one estimate
+        # Sentinels are exact infinities, unmoved by the variate they skip;
+        # only l can be arm 1 and only r can be arm K.
+        ml = mean_at(l, n) + sc * z[zr, c]
+        c += l > 1
+        mm = np.where(leaf, ml, mean_at(M, n) + sc * z[zr, c])
+        c += ~leaf
+        mr = mean_at(r, n) + sc * z[zr, c]
+        c += r < K[:n]
+        bracket = (ml <= tn) & (tn <= mr)
+        right = bracket & (mm <= tn)
+        down = np.flatnonzero(bracket)
+        stack_l[down, depth[down]] = l[down]
+        stack_r[down, depth[down]] = r[down]
+        depth[down] += 1
+        np.copyto(l, M, where=right)
+        np.copyto(r, M, where=bracket & ~right)
+        up = np.flatnonzero(~bracket & (depth[:n] > 0))
+        depth[up] -= 1
+        l[up] = stack_l[up, depth[up]]
+        r[up] = stack_r[up, depth[up]]
+    return R, cursor
+
+
 def explore_batch(
     problem: Problem, T: int, variates: VariateBlock, *, check_shape: bool = True
 ) -> BatchResult:
     """:func:`explore` for every replication of ``variates`` in lockstep.
 
-    The walk state is a few ``(reps,)`` arrays: the bracket ``L, R`` (with
-    ``M = (L + R) // 2``), the depth, and each row's read cursor into its
-    variates, plus an ancestor stack.  A row consumes one variate per
-    distinct non-sentinel arm of its node, in slot order, as the scalar walk
-    does.  A leaf's duplicate descent pushes the same ``(L, R)``; ``PARENT``
-    pops, and the root stays put.  Raises before reading any variate when
-    the shape or budget rule fails.
+    Raises before reading any variate when the shape or budget rule fails.
     """
     work = _as_monotone_walk_problem(problem, check_shape)
     t1, t2 = budget_split(work.K, T)
     z = variates.prefix(3 * t1)
-    reps, K, tau = variates.reps, work.K, work.tau
-    rows = np.arange(reps)
-    scale = work.sigma / math.sqrt(t2)
-    L = np.ones(reps, dtype=np.int64)
-    R = np.full(reps, K, dtype=np.int64)
-    depth = np.zeros(reps, dtype=np.int64)
-    cursor = np.zeros(reps, dtype=np.int64)
-    stack_l = np.empty((reps, t1), dtype=np.int64)
-    stack_r = np.empty((reps, t1), dtype=np.int64)
-
-    def sample(arm: np.ndarray, drawn: np.ndarray) -> np.ndarray:
-        # Sentinels are exact infinities, unmoved by the variate they skip.
-        nonlocal cursor
-        est = work.means[arm - 1] + scale * z[rows, cursor]
-        cursor = cursor + drawn
-        return est
-
-    for _ in range(t1):
-        M = (L + R) // 2
-        leaf = M == L  # slots l and m share one arm, hence one estimate
-        # Arms 1 and K are the sentinels; only l can be 1 and only r can be K.
-        ml = sample(L, L > 1)
-        mm = np.where(leaf, ml, sample(M, ~leaf))
-        mr = sample(R, R < K)
-        bracket = (ml <= tau) & (tau <= mr)
-        right = bracket & (mm <= tau)
-        down = np.flatnonzero(bracket)
-        stack_l[down, depth[down]] = L[down]
-        stack_r[down, depth[down]] = R[down]
-        depth[down] += 1
-        L = np.where(right, M, L)
-        R = np.where(bracket & ~right, M, R)
-        up = np.flatnonzero(~bracket & (depth > 0))
-        depth[up] -= 1
-        L[up] = stack_l[up, depth[up]]
-        R[up] = stack_r[up, depth[up]]
+    reps = variates.reps
+    R, cursor = _bracket_walk(work.K, np.full(reps, t1), work.tau, work.sigma / math.sqrt(t2),
+                              lambda arm, n: work.means[arm - 1], z, np.arange(reps),
+                              np.zeros(reps, dtype=np.int64))
     k_hat, labels = _crossing_labels(work, R)
     return BatchResult(k_hat, labels, t2 * cursor)
 
@@ -507,6 +540,184 @@ def uniform_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResu
     if problem.sentinels is not None:
         labels = labels[:, 1:-1]
     return BatchResult(None, labels, np.full(variates.reps, n * n_real, dtype=np.int64))
+
+
+#: Most ``rows x T1`` elements one lockstep :func:`ctb` walk spans.  Its
+#: ``(rows, T1)`` int64 arrays, at most three alive at once, then take at
+#: most 2 MiB each; :func:`ctb_batch` splits its problems to stay under it.
+_CTB_ELEMENTS = 1 << 18
+
+
+def _slopes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`_slope` elementwise."""
+    with np.errstate(invalid="ignore"):
+        return np.where((lo == -math.inf) & (hi == -math.inf), -math.inf, hi - lo)
+
+
+def _slope_walk(Ka: np.ndarray, t1: np.ndarray, tau: np.ndarray, scale: np.ndarray,
+                mean_at: Callable, z: np.ndarray, zrow: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gradexplore`'s walk for every row at once, rows as in :func:`_bracket_walk`.
+
+    Row ``r`` walks the concave-augmented tree over ``Ka[r]`` arms, where
+    arms ``1``, ``Ka[r]`` and ``Ka[r] + 1`` are free ``-inf`` arms.  Returns
+    the lower median of each row's appended arms (meaningless where it
+    appended none), how many it appended, and its cursor.
+    """
+    rows = Ka.size
+    L = np.ones(rows, dtype=np.int64)
+    R = Ka.copy()
+    depth = np.zeros(rows, dtype=np.int64)
+    cursor = np.zeros(rows, dtype=np.int64)
+    count = np.zeros(rows, dtype=np.int64)
+    steps = int(t1[0]) if rows else 0
+    stack_l = np.empty((rows, steps), dtype=np.int64)
+    stack_r = np.empty((rows, steps), dtype=np.int64)
+    appended = np.empty((rows, steps), dtype=np.int64)
+    for n in _walking(t1):
+        l, r, c, zr, sc, tn, ka = L[:n], R[:n], cursor[:n], zrow[:n], scale[:n], tau[:n], Ka[:n]
+        M = (l + r) // 2
+        inner = M > l  # not a leaf
+        m_new = M > l + 1  # slot m's arm differs from slots l and l+1
+        r_new = r > M + 1  # slot r's arm differs from slot m+1 (at a leaf, from l+1)
+        # The slots {l, l+1, m, m+1, r, r+1} in order; a slot draws when its
+        # arm is new and not free.  Arms only grow along the slots, so each
+        # slot reads the variate after those its predecessors drew.
+        est = []
+        for arm, draws in ((l, l > 1), (l + 1, l + 1 < ka), (M, m_new),
+                           (M + 1, inner & (M + 1 < ka)), (r, r_new & (r < ka)),
+                           (r + 1, r + 1 < ka)):
+            est.append(mean_at(arm, n) + sc * z[zr, c])
+            c += draws
+        e_l, e_l1, e_m, e_m1, e_r, e_r1 = est
+        # A repeated arm shares the estimate of its first slot.
+        e_m = np.where(m_new, e_m, np.where(inner, e_l1, e_l))
+        e_m1 = np.where(inner, e_m1, e_l1)
+        e_r = np.where(r_new, e_r, e_m1)
+        hit_l, hit_m, hit_r = e_l > tn, e_m > tn, e_r > tn
+        hit = np.flatnonzero(hit_l | hit_m | hit_r)
+        appended[hit, count[hit]] = np.where(hit_l, l, np.where(hit_m, M, r))[hit]
+        count[hit] += 1
+        s_m = _slopes(e_m, e_m1)
+        walk = ~(hit_l | hit_m | hit_r)
+        down = walk & (_slopes(e_l, e_l1) > 0) & (_slopes(e_r, e_r1) < 0)
+        right = down & (s_m >= 0)
+        rows_down = np.flatnonzero(down)
+        stack_l[rows_down, depth[rows_down]] = l[rows_down]
+        stack_r[rows_down, depth[rows_down]] = r[rows_down]
+        depth[rows_down] += 1
+        np.copyto(l, M, where=right)
+        np.copyto(r, M, where=down & ~right)
+        up = np.flatnonzero(walk & ~down & (depth[:n] > 0))
+        depth[up] -= 1
+        l[up] = stack_l[up, depth[up]]
+        r[up] = stack_r[up, depth[up]]
+    appended[np.arange(steps) >= count[:, None]] = np.iinfo(np.int64).max
+    appended.sort(axis=1)
+    return appended[np.arange(rows), (count - 1) // 2], count, cursor
+
+
+def _splits_by_row(K: np.ndarray, T: int) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`budget_split` of every row's ``K``, one call per distinct value."""
+    values, where = np.unique(K, return_inverse=True)
+    t = np.array([budget_split(int(k), T) for k in values], dtype=np.int64).reshape(-1, 2)
+    return t[where, 0], t[where, 1]
+
+
+def _ctb_walk(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], T: int,
+              z: np.ndarray) -> Iterator[BatchResult]:
+    """One lockstep :func:`ctb` walk over every (problem, row of ``z``) pair."""
+    reps, b = z.shape[0], T // 3
+    # Rows run cell-major, cells sorted by slope-walk length, longest first.
+    order = np.argsort([-t1 for t1, _ in splits], kind="stable")
+    cells = [problems[c] for c in order]
+    Kc = np.array([p.K for p in cells], dtype=np.int64)
+    # Every cell's means, each framed by two -inf arms: the concave sentinels
+    # and the free virtual arm past them, and the reversed search's low sentinel.
+    framed = [np.full(2, -math.inf)]
+    for p in cells:
+        framed += [p.means, np.full(2, -math.inf)]
+    flat = np.concatenate(framed)
+    K = np.repeat(Kc, reps)
+    first = np.repeat(2 + np.concatenate(([0], np.cumsum(Kc[:-1] + 2))), reps)  # arm 1's slot
+    t1 = np.repeat([splits[c][0] for c in order], reps)
+    n = np.repeat([splits[c][1] // 12 for c in order], reps)
+    tau = np.repeat([p.tau for p in cells], reps)
+    sigma = np.repeat([p.sigma for p in cells], reps)
+    zrow = np.tile(np.arange(reps), len(cells))
+
+    # Slope walk on the concave-augmented instance: arm a is original arm a - 1.
+    median, count, cursor = _slope_walk(K + 2, t1, tau, sigma / np.sqrt(n),
+                                        lambda arm, m: flat[first[:m] + arm - 2], z, zrow)
+    spent = n * cursor
+    # Too few appended arms declares every arm below: l = K + 1 > r = 0.
+    go = np.flatnonzero(4 * count > t1)
+    l, r, k_hat = K + 1, np.zeros_like(K), np.zeros_like(K)
+    k_hat[go] = median[go] - 1
+
+    def search(Kw: np.ndarray, base: np.ndarray, sign: int, at: np.ndarray) -> np.ndarray:
+        # explore on the monotone-augmented sub-instance of rows ``go``, whose
+        # arm a < Kw is original arm ``(base + sign * a) - first + 1``.
+        t1w, t2w = _splits_by_row(Kw, b)
+        p = np.argsort(-t1w, kind="stable")
+        kw, bp = Kw[p], base[p]
+        R, end = _bracket_walk(
+            kw, t1w[p], tau[go][p], sigma[go][p] / np.sqrt(t2w[p]),
+            lambda arm, m: np.where(arm == kw[:m], math.inf, flat[bp[:m] + sign * arm]),
+            z, zrow[go][p], at[p])
+        out = np.empty_like(R)
+        out[p], cursor[go[p]] = R, end
+        spent[go[p]] += t2w[p] * (end - at[p])
+        return out
+
+    kg, fg = k_hat[go], first[go]
+    l[go] = search(kg + 2, fg - 2, 1, cursor[go]) - 1
+    # The reversed segment means[k_hat - 1:][::-1]: arm a is original K + 2 - a.
+    r[go] = K[go] + 2 - search(K[go] - kg + 3, fg + K[go] + 1, -1, cursor[go])
+
+    # Labels are built per cell as it is consumed: one cell's at a time.
+    for i in np.argsort(order):
+        rows = slice(i * reps, (i + 1) * reps)
+        arms = np.arange(1, Kc[i] + 1)
+        labels = np.where((arms >= l[rows, None]) & (arms <= r[rows, None]), 1, -1)
+        yield BatchResult(k_hat[rows], labels, spent[rows])
+
+
+def ctb_batch(problems: Sequence[Problem], T: int, variates: VariateBlock, *,
+              check_shape: bool = True) -> Iterator[BatchResult]:
+    """:func:`ctb` for every replication of ``variates`` on each problem, in lockstep.
+
+    Each (problem, replication) pair is one row of one walk, so a sweep of
+    many small cells walks as a single array.  A row carries its own ``K``,
+    ``T1``, scales and variate cursor, and reads the slope walk's variates,
+    then the increasing search's, then the decreasing search's, as
+    :func:`ctb` draws them from one stream.  Means come from one flat array
+    of the problems' means.  Problems are walked in groups of at most
+    ``_CTB_ELEMENTS`` rows times ``T1``, each group when the results reach
+    it.  Yields one :class:`BatchResult` per problem, in order.  Raises, on
+    the call and before reading any variate, when any problem fails
+    :func:`ctb`'s shape or budget rule.
+    """
+    splits = [ctb_check(p, T, check_shape=check_shape) for p in problems]
+    return _ctb_groups(problems, splits, T, variates)
+
+
+def _ctb_groups(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], T: int,
+                variates: VariateBlock) -> Iterator[BatchResult]:
+    if not problems:
+        return
+    # Each phase draws at most six (slope walk) or three variates per step,
+    # over at most T1 steps: the sub-instances are no longer than the instance.
+    z = variates.prefix(12 * max(t1 for t1, _ in splits))
+    start = 0
+    while start < len(problems):
+        stop, t1 = start + 1, splits[start][0]
+        while (stop < len(problems) and (stop + 1 - start) * variates.reps
+               * max(t1, splits[stop][0]) <= _CTB_ELEMENTS):
+            t1 = max(t1, splits[stop][0])
+            stop += 1
+        yield from _ctb_walk(problems[start:stop], splits[start:stop], T, z)
+        start = stop
 
 
 def _slot_arm(node: Node, slot: str) -> int:

@@ -64,7 +64,7 @@ def _parse_grid(spec: str) -> List[float]:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value file supplying flag defaults")
     sub.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
-    sub.add_argument("--threads", type=int, help="worker processes (default: TBP_THREADS or all cores; "
+    sub.add_argument("--threads", type=int, help="worker processes (default: TBP_THREADS or 1; "
                           "capped at the usable cores and the replications)")
 
 
@@ -164,7 +164,7 @@ def _resolve_threads(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError("TBP_THREADS must be an integer") from exc
     else:
-        threads = os.cpu_count() or 1
+        threads = 1
     if threads < 1:
         raise ConfigError("threads must be >= 1")
     return threads

@@ -27,6 +27,7 @@ __all__ = [
     "shape_check",
     "sample_mean",
     "make_setting",
+    "gap_rounds_away",
     "augment",
 ]
 
@@ -336,6 +337,15 @@ def _enforce_float_concavity(means: np.ndarray) -> np.ndarray:
     raise RuntimeError("could not restore floating-point concavity")
 
 
+def gap_rounds_away(delta: float, tau: float) -> bool:
+    """Whether ``tau + delta`` or ``tau - delta`` rounds back to ``tau``.
+
+    No instance family can then place an arm ``delta`` from the threshold:
+    its gap would silently become 0.
+    """
+    return tau + delta == tau or tau - delta == tau
+
+
 def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: float = 1.0) -> Problem:
     """Build one of the named benchmark instances.
 
@@ -345,7 +355,8 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
     every gap equal to ``delta``, split at ``K // 2``.  ``S2_CONCAVE``: a
     symmetric tent with consecutive means ``2 * delta`` apart, peak at
     ``tau + 3 * delta`` on the center arm, so every gap is an odd multiple
-    of ``delta``.
+    of ``delta``.  Raises ``ValueError`` when ``delta`` is lost next to
+    ``tau`` in floating point (:func:`gap_rounds_away`).
     """
     if K < 3:
         raise ValueError("K must be >= 3")
@@ -370,6 +381,8 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
     else:
         raise ValueError(f"make_setting does not build {setting!r} instances")
     problem = Problem(means, sigma, tau)
+    if setting is not Setting.S2_CONCAVE and gap_rounds_away(delta, tau):
+        raise ValueError(f"delta {delta} rounds away next to tau {tau}")
     if setting is Setting.S2_CONCAVE:
         # Construct-and-check: the tent must be concave with all gaps >= delta/2
         # and at least one arm above threshold.

@@ -22,7 +22,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algos
-from .env import Problem, RngStream, Setting, VariateBlock, gaps, make_setting, true_labels
+from .env import (LARGE_GAP, Problem, Setting, VariateBlock, gap_rounds_away, gaps, make_setting,
+                  true_labels)
 
 __all__ = [
     "ALGORITHMS",
@@ -53,8 +54,8 @@ _Z95 = statistics.NormalDist().inv_cdf(0.975)
 #: and label arrays at this many rows times the widest cell.
 _TASK_REPS = 1024
 
-#: Walkers that run every replication of a cell in lockstep.  ``ctb``'s three
-#: phases share one stream, so it walks each replication separately.
+#: Walkers that run every replication of one cell in lockstep.  ``ctb`` runs
+#: every replication of all of a task's cells as one walk (``algos.ctb_batch``).
 _LOCKSTEP = {"explore": algos.explore_batch, "naive": algos.naive_batch,
              "uniform": algos.uniform_batch}
 
@@ -85,6 +86,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {name!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.T < 1:
+            raise ValueError("T must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
         if not math.isfinite(self.tau):
@@ -112,6 +115,10 @@ class ExperimentConfig:
                     raise ValueError(f"K must be >= 3 at every grid point, got {K}")
                 if not (math.isfinite(delta) and delta > 0):
                     raise ValueError(f"delta must be finite and positive, got {delta}")
+                if self.setting is Setting.S1 and delta >= LARGE_GAP:
+                    raise ValueError(f"S1 requires delta < {LARGE_GAP}, got {delta}")
+                if gap_rounds_away(delta, self.tau):
+                    raise ValueError(f"delta {delta} rounds away next to tau {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -171,18 +178,8 @@ def simple_regret(predicted: np.ndarray, truth: np.ndarray, gap_values: np.ndarr
     return float(np.max(np.asarray(gap_values)[mismatch]))
 
 
-def _outcomes(problem: Problem, algo: str, T: int,
-              variates: VariateBlock) -> Tuple[np.ndarray, np.ndarray]:
-    """Per replication of ``variates``: whether it erred, and its simple regret.
-
-    Raises :class:`~tbp.algos.BudgetError` before any replication runs when
-    the budget rule fails.
-    """
-    if algo == "ctb":
-        labels = np.stack([algos.ctb(problem, T, RngStream(variates.seed, i)).q_hat.labels
-                           for i in range(variates.start, variates.stop)])
-    else:
-        labels = _LOCKSTEP[algo](problem, T, variates).labels
+def _outcomes(problem: Problem, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of ``labels``: whether it erred, and its simple regret."""
     mismatch = labels != true_labels(problem).labels
     return mismatch.any(axis=1), np.max(np.where(mismatch, gaps(problem).gaps, 0.0), axis=1)
 
@@ -196,8 +193,12 @@ def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     problem = _build_instance(config, config.K, config.delta)
-    errs, regrets = _outcomes(problem, algo, config.T,
-                              VariateBlock(config.base_seed, rep_index, rep_index + 1))
+    variates = VariateBlock(config.base_seed, rep_index, rep_index + 1)
+    if algo == "ctb":
+        (res,) = algos.ctb_batch([problem], config.T, variates)
+    else:
+        res = _LOCKSTEP[algo](problem, config.T, variates)
+    errs, regrets = _outcomes(problem, res.labels)
     return bool(errs[0]), float(regrets[0])
 
 
@@ -219,16 +220,27 @@ def _run_task(config: ExperimentConfig, start: int,
 
     A cell whose budget rule fails yields ``None``.  Budget rules depend
     only on the instance and ``T``, so every task skips the same cells.
+    The ``ctb`` cells that pass theirs run last, as one lockstep walk.
     """
     variates = VariateBlock(config.base_seed, start, stop)
     out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+    ctb_cells = {}  # cell index -> instance
     for K, delta in _grid(config):
         problem = _build_instance(config, K, delta)
         for algo in config.algos:
             try:
-                out.append(_outcomes(problem, algo, config.T, variates))
+                if algo == "ctb":
+                    algos.ctb_check(problem, config.T)
+                    ctb_cells[len(out)] = problem
+                    out.append(None)
+                else:
+                    labels = _LOCKSTEP[algo](problem, config.T, variates).labels
+                    out.append(_outcomes(problem, labels))
             except algos.BudgetError:
                 out.append(None)
+    results = algos.ctb_batch(list(ctb_cells.values()), config.T, variates, check_shape=False)
+    for (c, problem), res in zip(ctb_cells.items(), results):
+        out[c] = _outcomes(problem, res.labels)
     return out
 
 

@@ -202,6 +202,12 @@ class TestDispatch:
          "--delta", "0.3", "--sigma", "inf"],
         ["run", "--setting", "custom", "--means=0.1,0.2", "--algo", "uniform", "--T", "30",
          "--tau", "inf"],
+        ["run", "--setting", "1", "--K", "10", "--T", "0", "--delta", "0.3", "--algo", "uniform"],
+        ["run", "--setting", "1", "--K", "10", "--T", "300", "--delta", "150", "--algo", "explore"],
+        ["sweep", "--setting", "1", "--algo", "explore", "--K", "10", "--T", "300",
+         "--sweep", "delta", "--grid", "0.5,150"],
+        ["run", "--setting", "2", "--K", "4", "--T", "300", "--delta", "0.1", "--tau", "1e17",
+         "--algo", "uniform"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")

@@ -12,6 +12,7 @@ from tbp import (
     Setting,
     ShapeClass,
     augment,
+    gap_rounds_away,
     gaps,
     make_setting,
     sample_mean,
@@ -179,6 +180,20 @@ class TestMakeSetting:
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             make_setting(Setting.S1, 2, 0.2, 0.0)
+
+    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2])
+    @pytest.mark.parametrize("tau", [1e17, -1e17, 2.0**60])
+    def test_rejects_gap_lost_to_rounding(self, setting, tau):
+        # tau + 0.1 == tau here: every gap would silently become 0.
+        assert gap_rounds_away(0.1, tau)
+        with pytest.raises(ValueError, match="rounds away"):
+            make_setting(setting, 4, 0.1, tau)
+
+    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2])
+    def test_keeps_gap_just_above_rounding(self, setting):
+        tau = 1e15  # the spacing of doubles is 0.125 here
+        assert not gap_rounds_away(0.1, tau)
+        assert gaps(make_setting(setting, 4, 0.1, tau)).delta_min > 0
 
 
 class TestAugment:

@@ -54,6 +54,13 @@ class TestConfigValidation:
         dict(sigma=-1.0),
         dict(tau=float("inf")),
         dict(setting=Setting.CUSTOM, custom_means=(0.1,), K=1, sigma=float("inf")),
+        dict(T=0),
+        dict(setting=Setting.S1, delta=150.0),
+        dict(setting=Setting.S1, sweep_param="delta", sweep_values=(0.5, 100.0)),
+        dict(tau=1e17, delta=0.1),
+        dict(setting=Setting.S1, tau=-1e17, delta=0.1),
+        dict(setting=Setting.S2_CONCAVE, tau=1e17, delta=0.1),
+        dict(tau=1e15, sweep_param="delta", sweep_values=(0.01, 0.1)),
     ])
     def test_rejects_values_no_instance_can_honour(self, overrides):
         with pytest.raises(ValueError):
@@ -120,6 +127,12 @@ class TestRunExperiment:
         assert by_algo["explore"].skipped
         assert not by_algo["uniform"].skipped
 
+    def test_ctb_without_slope_budget_is_skipped(self):
+        # T // 3 == 0 leaves the slope walk no budget at all.
+        rows = run_experiment(cfg(setting=Setting.S2_CONCAVE, algos=("ctb", "uniform"), K=3,
+                                  T=2, delta=0.3, reps=3))
+        assert [r.skipped for r in rows] == [True, True]
+
     def test_grid_major_row_order(self):
         c = cfg(algos=("uniform", "explore"), T=400, delta=0.5, reps=2,
                 sweep_param="delta", sweep_values=(0.5, 1.0))
@@ -173,20 +186,25 @@ class TestPlanTasks:
 class TestNoHiddenTrials:
     def test_ctb_runs_once_per_replication(self, monkeypatch):
         calls = []
-        real_ctb = tbp.algos.ctb
+        real_batch = tbp.algos.ctb_batch
 
-        def counting_ctb(problem, T, rng):
-            calls.append(problem.K)
-            return real_ctb(problem, T, rng)
+        def counting_batch(problems, T, variates, **kwargs):
+            calls.append([p.K for p in problems for _ in range(variates.reps)])
+            return real_batch(problems, T, variates, **kwargs)
 
-        monkeypatch.setattr(tbp.algos, "ctb", counting_ctb)
+        def no_scalar_ctb(*args, **kwargs):
+            raise AssertionError("the harness walks ctb only through ctb_batch")
+
+        monkeypatch.setattr(tbp.algos, "ctb_batch", counting_batch)
+        monkeypatch.setattr(tbp.algos, "ctb", no_scalar_ctb)
         # K = 257 needs floor(400 / 34) >= 12 and is skipped.
         c = cfg(setting=Setting.S2_CONCAVE, algos=("ctb", "uniform"), T=1200, delta=0.3,
                 reps=4, sweep_param="K", sweep_values=(3, 9, 257))
         rows = run_experiment(c)
         assert [r.skipped for r in rows if r.algo == "ctb"] == [False, False, True]
-        assert calls.count(3) == calls.count(9) == c.reps
-        assert calls.count(257) == 1  # the call that raises BudgetError
+        (walked,) = calls  # one lockstep walk spans every ctb cell of the task
+        assert walked.count(3) == walked.count(9) == c.reps
+        assert 257 not in walked  # skipped by the budget rule, never walked
 
 
 class TestCsv:

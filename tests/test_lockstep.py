@@ -2,17 +2,24 @@
 
 Row ``j`` of a lockstep run over ``VariateBlock(seed, start, stop)`` must
 equal the scalar walker on a fresh ``RngStream(seed, start + j)``: same
-``k_hat``, labels and budget, bit for bit.
+``k_hat``, labels and budget, bit for bit.  ``ctb_batch`` runs several
+cells at once and reports ``k_hat = 0`` where ``ctb`` returns ``None``.
 """
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tbp import BudgetError, Problem, RngStream, Setting, ShapeError, make_setting
+import tbp.algos
 from tbp.algos import (
     budget_split,
+    ctb,
+    ctb_batch,
     explore,
     explore_batch,
+    gradexplore,
     naive,
     naive_batch,
     uniform,
@@ -124,3 +131,101 @@ def test_cell_from_grown_block_equals_fresh_streams():
         assert np.array_equal(fresh.labels, again.labels)
         assert np.array_equal(fresh.total_budget, again.total_budget)
 
+
+
+def ctb_floor(K):
+    """Smallest budget ctb accepts on a raw K-armed instance."""
+    return 3 * 12 * budget_split(K + 2, 10**9)[0]
+
+
+@st.composite
+def concave_instances(draw):
+    tau = draw(st.sampled_from([0.0, -1.5, 0.25, 7.0]))
+    sigma = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+    if draw(st.booleans()):
+        K = draw(st.integers(3, 400))
+        delta = draw(st.sampled_from([0.05, 0.3, 1.0]))
+        return make_setting(Setting.S2_CONCAVE, K, delta, tau, sigma)
+    # Dyadic steps in non-increasing order: exactly concave, with arms that
+    # can sit exactly at the threshold.
+    K = draw(st.integers(1, 60))
+    steps = sorted(draw(st.lists(st.sampled_from([2.0, 1.0, 0.5, 0.0, -0.5, -1.0, -2.0]),
+                                 min_size=K - 1, max_size=K - 1)), reverse=True)
+    offsets = np.cumsum([draw(st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5]))] + steps)
+    if draw(st.booleans()):  # peak at the threshold, or every arm below it
+        offsets = offsets - offsets.max() - draw(st.sampled_from([0.0, 0.5]))
+    return Problem(tau + offsets, sigma, tau)
+
+
+def assert_ctb_rows_match(problems, T, seed, start, stop, block=None):
+    results = list(ctb_batch(problems, T, block or VariateBlock(seed, start, stop)))
+    assert len(results) == len(problems)
+    for problem, got in zip(problems, results):
+        for j, rep in enumerate(range(start, stop)):
+            ref = ctb(problem, T, RngStream(seed, rep))
+            assert np.array_equal(got.labels[j], ref.q_hat.labels), (problem.K, rep)
+            assert got.total_budget[j] == ref.total_budget, (problem.K, rep)
+            assert got.k_hat[j] == (0 if ref.k_hat is None else ref.k_hat), (problem.K, rep)
+    return results
+
+
+@settings(max_examples=100, deadline=None)
+@given(problems=st.lists(concave_instances(), min_size=1, max_size=4),
+       scale=st.sampled_from([1, 1, 2, 5]), slack=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1), start=st.integers(1, 10**6), count=st.integers(1, 6))
+def test_ctb_lockstep_equals_scalar(problems, scale, slack, seed, start, count):
+    T = scale * max(ctb_floor(p.K) for p in problems) + slack
+    assert_ctb_rows_match(problems, T, seed, start, start + count)
+
+
+def test_ctb_noiseless_exhaustive():
+    # Every concave sequence over {-2, -1, 0, 1} up to K = 6, at tau = 0 with
+    # sigma = 0: estimates are exact, so every tie of the walk is exercised.
+    for K in range(1, 7):
+        problems = [Problem(m, 0.0, 0.0)
+                    for m in itertools.product((-2.0, -1.0, 0.0, 1.0), repeat=K)
+                    if np.all(0.5 * np.asarray(m[:-2]) + 0.5 * np.asarray(m[2:]) <= m[1:-1])]
+        for T in (ctb_floor(K), 3 * ctb_floor(K) + 2):
+            assert_ctb_rows_match(problems, T, 0, 0, 1)
+
+
+@pytest.mark.parametrize("K,delta,rep", [(5, 0.1, 196), (12, 0.2, 277)])
+def test_ctb_all_below_rule_at_its_boundary(K, delta, rep):
+    # Replication rep's slope walk appends exactly T1 / 4 arms, which
+    # still declares every arm below.
+    problem = make_setting(Setting.S2_CONCAVE, K, delta, 0.0, 1.0)
+    T = ctb_floor(K)
+    t1 = budget_split(K + 2, T // 3 * 3)[0]
+    state, _, _ = gradexplore(problem, T // 3, RngStream(3, rep))
+    assert 4 * len(state.arms) == t1
+    (got,) = assert_ctb_rows_match([problem], T, 3, rep - 4, rep + 4)
+    assert got.k_hat[4] == 0
+
+
+def test_ctb_cell_rows_do_not_depend_on_neighbours(monkeypatch):
+    seed, start, stop, T = 77, 5, 13, 6000
+    cells = [make_setting(Setting.S2_CONCAVE, K, 0.3, 0.0, 1.0) for K in (301, 3, 40, 9)]
+    cells.append(Problem([-1.0, 0.0, 0.5, 0.0, -1.0], 0.7, 0.0))
+    together = assert_ctb_rows_match(cells, T, seed, start, stop)
+    monkeypatch.setattr(tbp.algos, "_CTB_ELEMENTS", 1)  # one cell per walk
+    apart = list(ctb_batch(cells, T, VariateBlock(seed, start, stop)))
+    for i, cell in enumerate(cells):
+        (alone,) = ctb_batch([cell], T, VariateBlock(seed, start, stop))
+        for other in (alone, apart[i]):
+            assert np.array_equal(other.labels, together[i].labels)
+            assert np.array_equal(other.k_hat, together[i].k_hat)
+            assert np.array_equal(other.total_budget, together[i].total_budget)
+
+
+def test_ctb_budget_error_before_any_draw():
+    small, wide = (make_setting(Setting.S2_CONCAVE, K, 0.3, 0.0, 1.0) for K in (5, 257))
+    block = VariateBlock(1, 0, 4)
+    with pytest.raises(BudgetError):
+        ctb_batch([small, wide], ctb_floor(wide.K) - 1, block)
+    assert block._generators is None  # no stream was even built
+    assert len(list(ctb_batch([small], ctb_floor(wide.K) - 1, block))) == 1  # it alone fits
+
+
+def test_ctb_shape_error():
+    with pytest.raises(ShapeError):
+        ctb_batch([Problem([0.5, -0.1, 0.2], 1.0, 0.0)], 3000, VariateBlock(0, 0, 2))
