@@ -48,7 +48,7 @@ from .env import (
     ShapeClass,
     VariateBlock,
     augment,
-    gap_rounds_away,
+    gap_distorted,
     gaps,
     make_setting,
     sample_mean,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,11 +23,9 @@ from .env import (
     ShapeClass,
     VariateBlock,
     augment,
-    gaps,
-    sample_mean,
     shape_check,
 )
-from .tree import Node, children, is_leaf, max_depth, parent, root
+from .tree import Node, max_depth
 
 __all__ = [
     "Action",
@@ -72,7 +71,15 @@ class Action(Enum):
 
 @dataclass(frozen=True, eq=False)
 class StepRecord:
-    """One walk step: the node visited, its slot estimates, and the move made."""
+    """One walk step: the node visited, its slot estimates, and the move made.
+
+    ``slot_means`` maps each slot (``"l"``, ``"m"``, ``"r"``, and ``"l+1"``,
+    ``"m+1"``, ``"r+1"`` for :func:`gradexplore`) to its arm's estimate;
+    slots on one arm share one estimate.  ``budget_spent`` counts the draws
+    of the step, and ``appended_arm`` is the arm :func:`gradexplore`
+    appended, if any.  A :class:`Trajectory` builds these views of its
+    columns on demand.
+    """
 
     node: Node
     slot_means: Dict[str, float]
@@ -81,12 +88,126 @@ class StepRecord:
     appended_arm: Optional[int] = None
 
 
-@dataclass(frozen=True, eq=False)
+#: The ``Trajectory.action`` codes: indices into ``Action``.
+_ACTIONS = tuple(Action)
+_LEFT, _RIGHT, _PARENT, _STAY, _DUP = range(5)  # in Action's order
+
+
+class _Walk:
+    """A node moving through the tree, recorded row by row for a :class:`Trajectory`.
+
+    The node is ``(l, r)`` at ``depth`` with ``dup`` duplicate copies above
+    it; ``stack`` holds the steps at which its ancestors were visited.  A
+    leaf's duplicate descent keeps ``(l, r)``; ``PARENT`` returns to the
+    node of the step on top of the stack, and the root stays put.
+    """
+
+    def __init__(self, K: int) -> None:
+        self.l, self.r, self.depth, self.dup = 1, K, 0, 0
+        self.stack: List[int] = []
+        self.nodes: List[int] = []  # 5 ints per node: l, r, depth, dup, parent step
+        self.moves: List[int] = []  # 3 ints per step: action, budget, appended arm
+        self.estimates: List[float] = []
+
+    def _record_node(self) -> None:
+        self.nodes += (self.l, self.r, self.depth, self.dup, self.stack[-1] if self.stack else -1)
+
+    def step(self, action: int, spent: int, estimates, appended: int = 0) -> None:
+        """Record the current node and the move made from it, then make the move."""
+        t = len(self.moves) // 3
+        self._record_node()
+        self.moves += (action, spent, appended)
+        self.estimates += estimates
+        if action == _PARENT:
+            if self.stack:
+                u = 5 * self.stack.pop()
+                self.l, self.r, self.depth, self.dup = self.nodes[u:u + 4]
+        elif action != _STAY:
+            self.stack.append(t)
+            self.depth += 1
+            if action == _DUP:
+                self.dup += 1
+            elif action == _RIGHT:
+                self.l = (self.l + self.r) // 2
+            else:
+                self.r = (self.l + self.r) // 2
+
+    def trajectory(self, slots: Tuple[str, ...], t1: int, t2: int) -> "Trajectory":
+        """The recorded steps, with the current node as the final one."""
+        traj = Trajectory.__new__(Trajectory)
+        traj._load(self, slots, t1, t2)
+        return traj
+
+
 class Trajectory:
-    steps: Tuple[StepRecord, ...]
-    t1: int
-    t2: int
-    final_node: Node
+    """A recorded walk of ``t1`` steps, held as columns.
+
+    Row ``t`` of the node columns ``left``, ``right``, ``depth``,
+    ``dup_count`` and ``parent_step`` is the node visited at step ``t``; row
+    ``t1`` is the final node.  ``parent_step[t]`` is the step at which that
+    node's parent was visited (``-1`` at the root), so following it walks
+    the node's ancestors.  Row ``t`` of ``action`` (an index into
+    ``Action``), ``budget``, ``appended`` (``0`` for none) and the
+    ``(t1, len(slots))`` array ``estimates`` is the move made at step ``t``;
+    ``slots`` names the estimate columns, and ``t2`` is the walk's per-arm
+    draw count.  ``steps`` and ``final_node`` rebuild :class:`StepRecord`
+    and :class:`Node` views, ancestor paths included, on first access.
+
+    ``Trajectory(steps, t1, t2, final_node)`` replays the records' moves from
+    the root into the same columns, and raises ``ValueError`` unless each
+    record's node is where its walk stands.
+    """
+
+    def __init__(self, steps: Sequence[StepRecord], t1: int, t2: int, final_node: Node) -> None:
+        nodes = [rec.node for rec in steps] + [final_node]
+        slots = tuple(steps[0].slot_means) if steps else ()
+        walk = _Walk(nodes[0].right)
+        for rec in steps:
+            walk.step(_ACTIONS.index(rec.action), rec.budget_spent,
+                      [rec.slot_means[s] for s in slots], rec.appended_arm or 0)
+        self._load(walk, slots, t1, t2)
+        if self._node_views != nodes:
+            raise ValueError("the recorded nodes do not follow the recorded moves")
+
+    def _load(self, walk: _Walk, slots: Tuple[str, ...], t1: int, t2: int) -> None:
+        walk._record_node()  # the final node
+        self.slots, self.t1, self.t2 = slots, t1, t2
+        self._nodes = np.array(walk.nodes, dtype=np.int64).reshape(-1, 5)
+        self.left, self.right, self.depth, self.dup_count, self.parent_step = self._nodes.T
+        self._moves = np.array(walk.moves, dtype=np.int64).reshape(-1, 3)
+        self.action, self.budget, self.appended = self._moves.T
+        estimates = np.array(walk.estimates, dtype=np.float64)
+        self.estimates = estimates.reshape(len(self._moves), len(slots))
+
+    @property
+    def slot_arms(self) -> np.ndarray:
+        """The ``(t1, len(slots))`` arms each estimate is of."""
+        L, R = self.left[:-1], self.right[:-1]
+        base = {"l": L, "m": (L + R) // 2, "r": R}
+        return np.array([base[s[0]] + s.endswith("+1") for s in self.slots],
+                        dtype=np.int64).reshape(len(self.slots), L.size).T
+
+    @cached_property
+    def _node_views(self) -> List[Node]:
+        built: Dict[Tuple[int, int, int], Node] = {}  # a node is its (l, r, dup)
+        out: List[Node] = []
+        for l, r, depth, dup, up in self._nodes.tolist():
+            node = built.get((l, r, dup))
+            if node is None:
+                path = out[up].path + (out[up],) if up >= 0 else ()
+                node = built[(l, r, dup)] = Node(l, (l + r) // 2, r, depth, dup, path)
+            out.append(node)
+        return out
+
+    @cached_property
+    def steps(self) -> Tuple[StepRecord, ...]:
+        return tuple(StepRecord(node, dict(zip(self.slots, est)), _ACTIONS[act], spent, arm or None)
+                     for node, est, (act, spent, arm)
+                     in zip(self._node_views, self.estimates.tolist(), self._moves.tolist()))
+
+    @property
+    def final_node(self) -> Node:
+        return self._node_views[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,28 +300,6 @@ def _real_arms(problem: Problem) -> np.ndarray:
     return real
 
 
-def _estimate(problem: Problem, arm: int, n: int, rng: RngStream) -> Tuple[float, int]:
-    # Index K+1 is the virtual arm past the augmented range: a Dirac at -inf.
-    if arm == problem.K + 1:
-        return -math.inf, 0
-    return sample_mean(problem, arm, n, rng)
-
-
-def _sample_slots(
-    problem: Problem, slot_arms: List[Tuple[str, int]], n: int, rng: RngStream
-) -> Tuple[Dict[str, float], Dict[int, float], int]:
-    """Sample each distinct arm once (slot order), sharing estimates across slots."""
-    by_arm: Dict[int, float] = {}
-    spent = 0
-    for _, arm in slot_arms:
-        if arm not in by_arm:
-            est, cost = _estimate(problem, arm, n, rng)
-            by_arm[arm] = est
-            spent += cost
-    slot_means = {slot: by_arm[arm] for slot, arm in slot_arms}
-    return slot_means, by_arm, spent
-
-
 def _as_monotone_walk_problem(problem: Problem, check_shape: bool) -> Problem:
     work = problem if problem.sentinels is not None else augment(problem, ShapeClass.MONOTONE)
     if check_shape and not shape_check(work, ShapeClass.RELAXED_MONOTONE):
@@ -226,32 +325,37 @@ def explore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = Tru
     wins ties.  The final node's right index is the estimated crossing.
     """
     work = _as_monotone_walk_problem(problem, check_shape)
-    tau = work.tau
-    t1, t2 = budget_split(work.K, T)
-    v = root(work.K)
-    steps: List[StepRecord] = []
-    total = 0
+    K, tau, mu = work.K, work.tau, work.means.tolist()
+    t1, t2 = budget_split(K, T)
+    scale = work.sigma / math.sqrt(t2)
+    z, c = rng.read_ahead(3 * t1), 0
+    walk = _Walk(K)
     for _ in range(t1):
-        slot_arms = [("l", v.left), ("m", v.mid), ("r", v.right)]
-        slot_means, _, spent = _sample_slots(work, slot_arms, t2, rng)
-        total += spent
-        ml, mm, mr = slot_means["l"], slot_means["m"], slot_means["r"]
+        l, r = walk.l, walk.r
+        m = (l + r) // 2
+        c0 = c
+        # Sentinels are exact and free: only l can be arm 1 and only r arm K.
+        # At a leaf m == l, and the two slots share one estimate.
+        ml = mu[0] if l == 1 else mu[l - 1] + scale * z[c]
+        c += l > 1
+        if m > l:
+            mm = mu[m - 1] + scale * z[c]
+            c += 1
+        else:
+            mm = ml
+        mr = mu[-1] if r == K else mu[r - 1] + scale * z[c]
+        c += r < K
         if not (ml <= tau <= mr):
-            nxt, act = parent(v), Action.PARENT
-        elif mm <= tau <= mr:
-            nxt = children(v)[1]
-            act = Action.DUP_DESCEND if is_leaf(v) else Action.RIGHT
-        elif ml <= tau <= mm:
-            lc = children(v)[0]
-            if lc is None:  # unreachable: leaf slots l and m share one estimate
-                raise RuntimeError("left child requested at a leaf")
-            nxt, act = lc, Action.LEFT
-        else:  # unreachable: the three tests are exhaustive
-            raise RuntimeError("no branch matched")
-        steps.append(StepRecord(v, slot_means, act, spent))
-        v = nxt
-    k_hat, labels = _crossing_labels(work, v.right)
-    return AlgoResult(k_hat, Classification(labels), total, Trajectory(tuple(steps), t1, t2, v), work)
+            act = _PARENT
+        elif mm <= tau:
+            act = _RIGHT if m > l else _DUP
+        else:
+            act = _LEFT
+        walk.step(act, t2 * (c - c0), (ml, mm, mr))
+    rng.generator.standard_normal(c)  # consume exactly the variates read
+    k_hat, labels = _crossing_labels(work, walk.r)
+    traj = walk.trajectory(("l", "m", "r"), t1, t2)
+    return AlgoResult(k_hat, Classification(labels), t2 * c, traj, work)
 
 
 def dexplore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -> AlgoResult:
@@ -297,50 +401,58 @@ def gradexplore(
         problem = augment(problem, ShapeClass.CONCAVE)
     if check_shape and not shape_check(problem, ShapeClass.CONCAVE):
         raise ShapeError("means are not concave")
-    tau = problem.tau
-    t1, t2 = _grad_split(problem.K, budget)
+    K, tau = problem.K, problem.tau
+    mu = problem.means.tolist() + [-math.inf]  # arm K + 1 is the virtual one
+    t1, t2 = _grad_split(K, budget)
     n = max(1, t2 // 12)
-    v = root(problem.K)
-    steps: List[StepRecord] = []
+    scale = problem.sigma / math.sqrt(n)
+    z, c = rng.read_ahead(6 * t1), 0
+    walk = _Walk(K)
     appended: List[int] = []
-    total = 0
     for _ in range(t1):
-        slot_arms = [
-            ("l", v.left),
-            ("l+1", v.left + 1),
-            ("m", v.mid),
-            ("m+1", v.mid + 1),
-            ("r", v.right),
-            ("r+1", v.right + 1),
-        ]
-        slot_means, by_arm, spent = _sample_slots(problem, slot_arms, n, rng)
-        total += spent
-        hit = next(
-            (arm for _, arm in (("l", v.left), ("m", v.mid), ("r", v.right)) if by_arm[arm] > tau),
-            None,
-        )
-        if hit is not None:
-            appended.append(hit)
-            steps.append(StepRecord(v, slot_means, Action.STAY_APPEND, spent, appended_arm=hit))
-            continue
-        s_l = _slope(by_arm[v.left], by_arm[v.left + 1])
-        s_m = _slope(by_arm[v.mid], by_arm[v.mid + 1])
-        s_r = _slope(by_arm[v.right], by_arm[v.right + 1])
-        if not (s_l > 0 and s_r < 0):
-            nxt, act = parent(v), Action.PARENT
-        elif s_m >= 0:
-            nxt = children(v)[1]
-            act = Action.DUP_DESCEND if is_leaf(v) else Action.RIGHT
+        l, r = walk.l, walk.r
+        m = (l + r) // 2
+        c0 = c
+        # The distinct arms of the slots l, l+1, m, m+1, r, r+1 ascend in slot
+        # order and draw in that order; a repeated arm shares the estimate of
+        # its first slot.  Arms 1, K and K + 1 are exact and free.
+        e_l = mu[0] if l == 1 else mu[l - 1] + scale * z[c]
+        c += l > 1
+        e_l1 = mu[l] + scale * z[c] if l + 1 < K else mu[l]
+        c += l + 1 < K
+        if m == l:  # a leaf: r == l + 1
+            e_m, e_m1 = e_l, e_l1
         else:
-            lc = children(v)[0]
-            if lc is None:  # unreachable: leaf slopes s_l and s_m coincide
-                raise RuntimeError("left child requested at a leaf")
-            nxt, act = lc, Action.LEFT
-        steps.append(StepRecord(v, slot_means, act, spent))
-        v = nxt
-    above = sum(1 for arm in appended if problem.mean(arm) > tau)
-    state = GradState(tuple(appended), above)
-    return state, Trajectory(tuple(steps), t1, t2, v), total
+            if m == l + 1:
+                e_m = e_l1
+            else:
+                e_m = mu[m - 1] + scale * z[c]
+                c += 1
+            e_m1 = mu[m] + scale * z[c] if m + 1 < K else mu[m]
+            c += m + 1 < K
+        if r == m + 1:
+            e_r = e_m1
+        else:
+            e_r = mu[r - 1] + scale * z[c] if r < K else mu[r - 1]
+            c += r < K
+        e_r1 = mu[r] + scale * z[c] if r + 1 < K else mu[r]
+        c += r + 1 < K
+        est = (e_l, e_l1, e_m, e_m1, e_r, e_r1)
+        hit = l if e_l > tau else m if e_m > tau else r if e_r > tau else 0
+        if hit:
+            appended.append(hit)
+            walk.step(_STAY, n * (c - c0), est, hit)
+            continue
+        if not (_slope(e_l, e_l1) > 0 and _slope(e_r, e_r1) < 0):
+            act = _PARENT
+        elif _slope(e_m, e_m1) >= 0:
+            act = _RIGHT if m > l else _DUP
+        else:
+            act = _LEFT
+        walk.step(act, n * (c - c0), est)
+    rng.generator.standard_normal(c)  # consume exactly the variates read
+    state = GradState(tuple(appended), sum(1 for arm in appended if mu[arm - 1] > tau))
+    return state, walk.trajectory(("l", "l+1", "m", "m+1", "r", "r+1"), t1, t2), n * c
 
 
 def _lower_median(values: Tuple[int, ...]) -> int:
@@ -397,38 +509,39 @@ def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True)
     duplicate chain.
     """
     work = _as_monotone_walk_problem(problem, check_shape)
-    tau = work.tau
-    H, n = _naive_split(work.K, T)
-    v = root(work.K)
-    steps: List[StepRecord] = []
-    total = 0
+    K, tau, mu = work.K, work.tau, work.means.tolist()
+    H, n = _naive_split(K, T)
+    scale = work.sigma / math.sqrt(n)
+    z, c = rng.read_ahead(H), 0
+    walk = _Walk(K)
     for _ in range(H):
-        est, spent = _estimate(work, v.mid, n, rng)
-        total += spent
-        if is_leaf(v):
-            nxt, act = children(v)[1], Action.DUP_DESCEND
-        elif est <= tau:
-            nxt, act = children(v)[1], Action.RIGHT
-        else:
-            nxt, act = children(v)[0], Action.LEFT
-        steps.append(StepRecord(v, {"m": est}, act, spent))
-        v = nxt
-    k_hat, labels = _crossing_labels(work, v.right)
-    return AlgoResult(k_hat, Classification(labels), total, Trajectory(tuple(steps), H, n, v), work)
+        l, r = walk.l, walk.r
+        m = (l + r) // 2
+        est = mu[0] if m == 1 else mu[m - 1] + scale * z[c]  # arm 1, the low sentinel, is free
+        drew = m > 1
+        c += drew
+        act = _DUP if m == l else _RIGHT if est <= tau else _LEFT
+        walk.step(act, n * drew, (est,))
+    rng.generator.standard_normal(c)  # consume exactly the variates read
+    k_hat, labels = _crossing_labels(work, walk.r)
+    return AlgoResult(k_hat, Classification(labels), n * c, walk.trajectory(("m",), H, n), work)
 
 
 def uniform(problem: Problem, T: int, rng: RngStream) -> AlgoResult:
     """Sample every arm ``floor(T / K)`` times and threshold the sample means."""
     n = _uniform_split(problem.K, T)
+    n_real = int(_real_arms(problem).sum())
+    (labels,) = _uniform_labels(problem, n, rng.generator.standard_normal((1, n_real)))
+    return AlgoResult(None, Classification(labels), n * n_real, None, problem)
+
+
+def _uniform_labels(problem: Problem, n: int, z: np.ndarray) -> np.ndarray:
+    """:func:`uniform`'s labels for each row of ``z``, one variate per real arm."""
     real = _real_arms(problem)
-    est = problem.means.copy()
-    draws = rng.generator.standard_normal(int(real.sum()))
-    est[real] = est[real] + (problem.sigma / math.sqrt(n)) * draws
+    est = np.tile(problem.means, (z.shape[0], 1))
+    est[:, real] = problem.means[real] + (problem.sigma / math.sqrt(n)) * z
     labels = np.where(est >= problem.tau, 1, -1)
-    if problem.sentinels is not None:
-        labels = labels[1:-1]
-    total = n * int(real.sum())
-    return AlgoResult(None, Classification(labels), total, None, problem)
+    return labels[:, 1:-1] if problem.sentinels is not None else labels
 
 
 def _walking(t1: np.ndarray) -> np.ndarray:
@@ -531,14 +644,8 @@ def naive_batch(
 def uniform_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
     """:func:`uniform` for every replication of ``variates`` at once."""
     n = _uniform_split(problem.K, T)
-    real = _real_arms(problem)
-    n_real = int(real.sum())
-    z = variates.prefix(n_real)
-    est = np.tile(problem.means, (variates.reps, 1))
-    est[:, real] = problem.means[real] + (problem.sigma / math.sqrt(n)) * z
-    labels = np.where(est >= problem.tau, 1, -1)
-    if problem.sentinels is not None:
-        labels = labels[:, 1:-1]
+    n_real = int(_real_arms(problem).sum())
+    labels = _uniform_labels(problem, n, variates.prefix(n_real))
     return BatchResult(None, labels, np.full(variates.reps, n * n_real, dtype=np.int64))
 
 
@@ -720,17 +827,6 @@ def _ctb_groups(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], 
         start = stop
 
 
-def _slot_arm(node: Node, slot: str) -> int:
-    base = {"l": node.left, "m": node.mid, "r": node.right}
-    if slot.endswith("+1"):
-        return base[slot[0]] + 1
-    return base[slot]
-
-
-def _node_sequence(trajectory: Trajectory) -> List[Node]:
-    return [rec.node for rec in trajectory.steps] + [trajectory.final_node]
-
-
 def distance_series(
     trajectory: Trajectory, problem: Problem, mode: ShapeClass, *, max_arms: int = 2048
 ) -> np.ndarray:
@@ -741,69 +837,59 @@ def distance_series(
     and the potential may go negative along its duplicate chain; in Concave
     mode the target is the set of nodes holding an above-threshold arm and
     the potential is clamped at zero inside it.  The returned vector covers
-    the ``T1`` visited nodes plus the terminal one.
+    the ``T1`` visited nodes plus the terminal one.  A node's potential
+    comes from its deepest ancestor-or-self on the way to the target, which
+    one pass over ``trajectory.parent_step`` finds for every node.
     """
     if problem.K > max_arms:
         raise ValueError(f"K = {problem.K} exceeds the exhaustive-search cap {max_arms}")
     means, tau = problem.means, problem.tau
-    nodes = _node_sequence(trajectory)
-
     if mode is ShapeClass.MONOTONE:
-        lo, hi = means[:-1], means[1:]
-        bracket_pairs = np.flatnonzero((lo <= tau) & (tau <= hi))
-        if bracket_pairs.size != 1:
+        if np.count_nonzero((means[:-1] <= tau) & (tau <= means[1:])) != 1:
             raise ValueError("no unique threshold-bracketing leaf")
 
-        def brackets(node: Node) -> bool:
-            return bool(means[node.left - 1] <= tau <= means[node.right - 1])
+        def on_way(l, r):  # the node brackets the threshold
+            return (means[l - 1] <= tau) & (tau <= means[r - 1])
 
-        v = root(problem.K)
-        while not is_leaf(v):
-            cands = [c for c in children(v) if c is not None and brackets(c)]
-            if len(cands) != 1:
-                raise ValueError("bracket descent is ambiguous")
-            v = cands[0]
-        target_depth = v.depth
-
-        def w_depth(node: Node) -> int:
-            for w in (node, *reversed(node.path)):
-                if brackets(w):
-                    return w.depth
-            raise RuntimeError("no bracketing ancestor (root should bracket)")
-
-        out = [(n.depth - w_depth(n)) + (target_depth - w_depth(n)) for n in nodes]
-        return np.asarray(out, dtype=np.int64)
-
-    if mode is ShapeClass.CONCAVE:
+        def is_target(l, r):
+            return r == l + 1
+        ambiguous = ValueError("bracket descent is ambiguous")
+        lost = "no bracketing ancestor (root should bracket)"
+    elif mode is ShapeClass.CONCAVE:
         above = np.flatnonzero(means > tau)
         if above.size == 0:
             raise ValueError("no arm above the threshold")
         a, b = int(above[0]) + 1, int(above[-1]) + 1
 
-        def in_region(node: Node) -> bool:
-            return any(means[arm - 1] > tau for arm in node.triple)
+        def on_way(l, r):  # the node overlaps the above-threshold arms
+            return (l <= b) & (a <= r)
 
-        def overlaps(node: Node) -> bool:
-            return node.left <= b and a <= node.right
-
-        z = root(problem.K)
-        while not in_region(z):
-            cands = [c for c in children(z) if c is not None and overlaps(c)]
-            if len(cands) != 1:
-                raise RuntimeError("region descent is ambiguous")
-            z = cands[0]
-        z_depth = z.depth
-
-        def w_depth(node: Node) -> int:
-            for w in (node, *reversed(node.path)):
-                if overlaps(w):
-                    return w.depth
-            raise RuntimeError("no overlapping ancestor (root should overlap)")
-
-        out = [(n.depth - w_depth(n)) + max(z_depth - w_depth(n), 0) for n in nodes]
-        return np.asarray(out, dtype=np.int64)
-
-    raise ValueError("mode must be Monotone or Concave")
+        def is_target(l, r):
+            return max(means[l - 1], means[(l + r) // 2 - 1], means[r - 1]) > tau
+        ambiguous = RuntimeError("region descent is ambiguous")
+        lost = "no overlapping ancestor (root should overlap)"
+    else:
+        raise ValueError("mode must be Monotone or Concave")
+    # Descend from the root to the target through the one child on the way.
+    # Every leaf reached is a target: in Monotone mode by definition, and in
+    # Concave mode a leaf reached through lone overlapping children holds a or b.
+    l, r, target = 1, problem.K, 0
+    while not is_target(l, r):
+        m = (l + r) // 2
+        cands = [(x, y) for x, y in ((l, m), (m, r)) if on_way(x, y)]
+        if len(cands) != 1:
+            raise ambiguous
+        (l, r), target = cands[0], target + 1
+    deepest: List[int] = []  # depth of each node's deepest ancestor-or-self on the way
+    hits = on_way(trajectory.left, trajectory.right).tolist()
+    for hit, d, up in zip(hits, trajectory.depth.tolist(), trajectory.parent_step.tolist()):
+        if not hit and up < 0:
+            raise RuntimeError(lost)
+        deepest.append(d if hit else deepest[up])
+    w = np.array(deepest, dtype=np.int64)
+    if mode is ShapeClass.MONOTONE:
+        return (trajectory.depth - w) + (target - w)
+    return (trajectory.depth - w) + np.maximum(target - w, 0)
 
 
 def favorable_series(trajectory: Trajectory, problem: Problem) -> np.ndarray:
@@ -812,16 +898,11 @@ def favorable_series(trajectory: Trajectory, problem: Problem) -> np.ndarray:
     Sentinel slots (and the virtual arm past the augmented range) are exact
     and always count as favorable.
     """
-    delta_min = gaps(problem).delta_min
-    out = []
-    for rec in trajectory.steps:
-        ok = True
-        for slot, est in rec.slot_means.items():
-            arm = _slot_arm(rec.node, slot)
-            if arm > problem.K or problem.is_sentinel(arm):
-                continue
-            if abs(est - problem.mean(arm)) > delta_min:
-                ok = False
-                break
-        out.append(ok)
-    return np.asarray(out, dtype=bool)
+    means = problem.means
+    delta_min = float(np.min(np.abs(means - problem.tau)))  # as gaps(), without a GapVector
+    arms = trajectory.slot_arms
+    lo, hi = (2, problem.K - 1) if problem.sentinels is not None else (1, problem.K)
+    real = (arms >= lo) & (arms <= hi)
+    est = np.where(real, trajectory.estimates, 0.0)
+    truth = np.where(real, means[np.where(real, arms - 1, 0)], 0.0)
+    return ~(np.abs(est - truth) > delta_min).any(axis=1)

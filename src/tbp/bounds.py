@@ -12,7 +12,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .env import GapVector, Problem, ShapeClass, shape_check
+from .env import GapVector, Problem, ShapeClass, _concave, shape_check
 
 __all__ = [
     "BoundReport",
@@ -171,16 +171,10 @@ def adversarial_monotone_pair(
     return plus, minus
 
 
-def _is_concave_seq(mu: np.ndarray) -> bool:
-    if mu.size < 3:
-        return True
-    return bool(np.all(0.5 * mu[:-2] + 0.5 * mu[2:] <= mu[1:-1] + 1e-12))
-
-
 def _verify_perturbation(mu: np.ndarray, mu2: np.ndarray, tau: float) -> bool:
     eps = 1e-9
     dmin = float(np.min(np.abs(mu - tau)))
-    if not _is_concave_seq(mu2):  # (a)
+    if not _concave(mu2, tol=1e-12):  # (a)
         return False
     if not np.any((mu >= tau) != (mu2 >= tau)):  # (b)
         return False

@@ -327,16 +327,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             raise ConfigError(str(exc)) from exc
         delta, K = args.delta, args.K
     rng = RngStream(args.seed, rep)
-    if args.algo == "explore":
-        trajectory = algos.explore(problem, args.T, rng).trajectory
-    elif args.algo == "dexplore":
-        trajectory = algos.dexplore(problem, args.T, rng).trajectory
-    elif args.algo == "naive":
-        trajectory = algos.naive(problem, args.T, rng).trajectory
-    elif args.algo == "ctb":
-        trajectory = algos.ctb(problem, args.T, rng).trajectory
-    else:
+    if args.algo == "gradexplore":
         _, trajectory, _ = algos.gradexplore(problem, args.T, rng)
+    else:  # explore, dexplore, naive or ctb
+        trajectory = getattr(algos, args.algo)(problem, args.T, rng).trajectory
     header = (f"# setting={setting.value} algo={args.algo} K={K} T={args.T} "
               f"delta={delta} sigma={args.sigma} tau={args.tau} seed={args.seed} rep={rep}")
     lines = [header]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +27,8 @@ __all__ = [
     "shape_check",
     "sample_mean",
     "make_setting",
-    "gap_rounds_away",
+    "GAP_RTOL",
+    "gap_distorted",
     "augment",
 ]
 
@@ -177,7 +178,7 @@ class Classification:
         lab = np.array(self.labels, dtype=np.int64, copy=True)
         if lab.ndim != 1:
             raise ValueError("labels must be 1-d")
-        if not np.all(np.isin(lab, (-1, 1))):
+        if not np.all((lab == 1) | (lab == -1)):
             raise ValueError("labels must be +/-1")
         lab.setflags(write=False)
         object.__setattr__(self, "labels", lab)
@@ -220,6 +221,21 @@ class RngStream:
             self._generator = np.random.Generator(np.random.PCG64(ss))
         return self._generator
 
+    def read_ahead(self, n: int) -> List[float]:
+        """The stream's next ``n`` standard normals, leaving the stream where it was.
+
+        A caller that uses the first ``c`` of them then consumes exactly those
+        with ``generator.standard_normal(c)``.  ``standard_normal(n)`` yields
+        the same values as ``n`` scalar draws, so the stream moves on as if
+        each variate had been drawn alone, and a later consumer of the same
+        stream sees the sequence it always did.
+        """
+        gen = self.generator
+        state = gen.bit_generator.state
+        z = gen.standard_normal(n).tolist()
+        gen.bit_generator.state = state
+        return z
+
 
 class VariateBlock:
     """Standard-normal prefixes of the streams ``RngStream(seed, i)``, ``start <= i < stop``.
@@ -230,6 +246,9 @@ class VariateBlock:
     scalar walk on a fresh stream draws.  Each replication's generator is
     built once; the block grows by drawing further columns when a caller
     needs a longer prefix, so every cell of a sweep reads one shared prefix.
+    It grows to at least twice its width, so ``k`` ascending requests cost
+    ``O(log k)`` growths, and it is never wider than twice the longest
+    prefix requested.
     """
 
     def __init__(self, seed: int, start: int, stop: int) -> None:
@@ -250,7 +269,8 @@ class VariateBlock:
             if self._generators is None:
                 self._generators = [RngStream(self.seed, i).generator
                                     for i in range(self.start, self.stop)]
-            more = np.stack([g.standard_normal(n - have) for g in self._generators])
+            width = max(n, 2 * have)
+            more = np.stack([g.standard_normal(width - have) for g in self._generators])
             self._block = np.concatenate([self._block, more], axis=1)
             self._block.setflags(write=False)
         return self._block[:, :n]
@@ -275,12 +295,13 @@ def _relaxed_monotone(means: np.ndarray, tau: float) -> bool:
     return not bool(np.any(below & (np.cumsum(above) > 0)))
 
 
-def _concave(means: np.ndarray) -> bool:
+def _concave(means: np.ndarray, tol: float = 0.0) -> bool:
+    """Whether every midpoint of neighbours is at most the middle mean plus ``tol``."""
     if means.size < 3:
         return True
     mid = 0.5 * means[:-2] + 0.5 * means[2:]
     with np.errstate(invalid="ignore"):
-        ok = mid <= means[1:-1]
+        ok = mid <= means[1:-1] + tol
     # NaN (from inf - inf midpoints) compares False, i.e. not concave.
     return bool(np.all(ok))
 
@@ -337,13 +358,22 @@ def _enforce_float_concavity(means: np.ndarray) -> np.ndarray:
     raise RuntimeError("could not restore floating-point concavity")
 
 
-def gap_rounds_away(delta: float, tau: float) -> bool:
-    """Whether ``tau + delta`` or ``tau - delta`` rounds back to ``tau``.
+#: Largest relative error :func:`gap_distorted` lets rounding put on a gap.
+GAP_RTOL = 1e-6
 
-    No instance family can then place an arm ``delta`` from the threshold:
-    its gap would silently become 0.
+
+def gap_distorted(delta: float, tau: float) -> bool:
+    """Whether rounding moves an arm placed ``delta`` from ``tau`` off that gap.
+
+    True when the realized gap ``|(tau + delta) - tau|`` or
+    ``|(tau - delta) - tau|`` differs from ``delta`` by more than
+    ``GAP_RTOL * delta``.  The error is at most half a unit in the last place
+    of ``tau + delta``, so it stays within the tolerance while
+    ``|tau| / delta`` is below about ``9e9``: at ``tau = 1e15`` a gap of
+    ``0.1`` realizes as ``0.125``, and at ``tau = 1e17`` it vanishes.  No
+    instance family can then honour ``delta``.
     """
-    return tau + delta == tau or tau - delta == tau
+    return any(abs(abs((tau + s * delta) - tau) - delta) > GAP_RTOL * delta for s in (1.0, -1.0))
 
 
 def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: float = 1.0) -> Problem:
@@ -355,8 +385,8 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
     every gap equal to ``delta``, split at ``K // 2``.  ``S2_CONCAVE``: a
     symmetric tent with consecutive means ``2 * delta`` apart, peak at
     ``tau + 3 * delta`` on the center arm, so every gap is an odd multiple
-    of ``delta``.  Raises ``ValueError`` when ``delta`` is lost next to
-    ``tau`` in floating point (:func:`gap_rounds_away`).
+    of ``delta``.  ``S1`` and ``S2`` raise ``ValueError`` when rounding
+    next to ``tau`` distorts ``delta`` (:func:`gap_distorted`).
     """
     if K < 3:
         raise ValueError("K must be >= 3")
@@ -381,7 +411,7 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
     else:
         raise ValueError(f"make_setting does not build {setting!r} instances")
     problem = Problem(means, sigma, tau)
-    if setting is not Setting.S2_CONCAVE and gap_rounds_away(delta, tau):
+    if setting is not Setting.S2_CONCAVE and gap_distorted(delta, tau):
         raise ValueError(f"delta {delta} rounds away next to tau {tau}")
     if setting is Setting.S2_CONCAVE:
         # Construct-and-check: the tent must be concave with all gaps >= delta/2

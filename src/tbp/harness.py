@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algos
-from .env import (LARGE_GAP, Problem, Setting, VariateBlock, gap_rounds_away, gaps, make_setting,
+from .env import (LARGE_GAP, Problem, Setting, VariateBlock, gap_distorted, gaps, make_setting,
                   true_labels)
 
 __all__ = [
@@ -117,7 +117,7 @@ class ExperimentConfig:
                     raise ValueError(f"delta must be finite and positive, got {delta}")
                 if self.setting is Setting.S1 and delta >= LARGE_GAP:
                     raise ValueError(f"S1 requires delta < {LARGE_GAP}, got {delta}")
-                if gap_rounds_away(delta, self.tau):
+                if gap_distorted(delta, self.tau):
                     raise ValueError(f"delta {delta} rounds away next to tau {self.tau}")
 
 

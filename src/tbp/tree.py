@@ -21,7 +21,9 @@ class Node:
     right: int
     depth: int = 0
     dup_count: int = 0
-    path: Tuple["Node", ...] = field(default=(), repr=False)
+    # (left, right, dup_count) fix the path, so equality and hashing skip it;
+    # comparing paths would recurse through every ancestor's path in turn.
+    path: Tuple["Node", ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.left <= self.mid <= self.right:

@@ -208,6 +208,8 @@ class TestDispatch:
          "--sweep", "delta", "--grid", "0.5,150"],
         ["run", "--setting", "2", "--K", "4", "--T", "300", "--delta", "0.1", "--tau", "1e17",
          "--algo", "uniform"],
+        ["run", "--setting", "1", "--K", "4", "--T", "300", "--delta", "0.1", "--tau", "1e15",
+         "--algo", "uniform"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")

@@ -12,13 +12,14 @@ from tbp import (
     Setting,
     ShapeClass,
     augment,
-    gap_rounds_away,
+    gap_distorted,
     gaps,
     make_setting,
     sample_mean,
     shape_check,
     true_labels,
 )
+from tbp.env import GAP_RTOL
 
 
 def P(means, sigma=1.0, tau=0.0, **kw):
@@ -185,15 +186,25 @@ class TestMakeSetting:
     @pytest.mark.parametrize("tau", [1e17, -1e17, 2.0**60])
     def test_rejects_gap_lost_to_rounding(self, setting, tau):
         # tau + 0.1 == tau here: every gap would silently become 0.
-        assert gap_rounds_away(0.1, tau)
+        assert gap_distorted(0.1, tau)
         with pytest.raises(ValueError, match="rounds away"):
             make_setting(setting, 4, 0.1, tau)
 
     @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2])
-    def test_keeps_gap_just_above_rounding(self, setting):
-        tau = 1e15  # the spacing of doubles is 0.125 here
-        assert not gap_rounds_away(0.1, tau)
-        assert gaps(make_setting(setting, 4, 0.1, tau)).delta_min > 0
+    @pytest.mark.parametrize("tau", [1e15, -1e15])
+    def test_rejects_gap_rounding_distorts(self, setting, tau):
+        # The spacing of doubles is 0.125 here: a gap of 0.1 would realize as 0.125.
+        assert abs((tau + 0.1) - tau) == 0.125
+        assert gap_distorted(0.1, tau)
+        with pytest.raises(ValueError, match="rounds away"):
+            make_setting(setting, 4, 0.1, tau)
+
+    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2])
+    def test_keeps_gap_rounding_moves_within_tolerance(self, setting):
+        tau = 1e8  # a gap of 0.1 realizes as 0.1 - 6e-9
+        assert not gap_distorted(0.1, tau)
+        delta_min = gaps(make_setting(setting, 4, 0.1, tau)).delta_min
+        assert delta_min != 0.1 and abs(delta_min - 0.1) <= GAP_RTOL * 0.1
 
 
 class TestAugment:

@@ -4,12 +4,17 @@ Replication ``i`` of every cell draws from ``RngStream(seed, i)``, so each CSV
 below is a pure function of its argv for a fixed numpy version.  The digests
 were recorded from the scalar per-replication engine; any engine change that
 shifts a single variate, reorders rows or changes float formatting fails
-here, at every thread count.
+here, at every thread count.  The ``naive``, ``dexplore`` and ``gradexplore``
+traces and the lemma digest were recorded on the walkers that built one
+``Node`` per step and drew one variate per ``sample_mean`` call.
 """
 import hashlib
 
+import numpy as np
 import pytest
 
+from tbp import (Problem, RngStream, Setting, ShapeClass, augment, dexplore, distance_series,
+                 explore, favorable_series, gradexplore, make_setting, naive)
 from tbp.cli import dispatch
 
 CSV_CASES = {
@@ -77,6 +82,22 @@ TRACE_CASES = {
          "--delta", "0.3", "--seed", "8"],
         "642a4f5fb1fb64ea6d2f64a65900f85ede398668c51559225be07a4448b692bc",
     ),
+    "trace-naive": (
+        ["trace", "--setting", "2", "--algo", "naive", "--K", "40", "--T", "300",
+         "--delta", "0.3", "--seed", "6", "--rep", "2"],
+        "24d7eb7825656383df16aa46a6ce41f2f7a948e11229a1fcb75cc79ff2f6ae98",
+    ),
+    "trace-dexplore": (
+        # Custom non-increasing means with an arm tied at the threshold.
+        ["trace", "--setting", "custom", "--means=2,1,0.5,0,-0.5,-1,-1,-3", "--algo",
+         "dexplore", "--T", "900", "--sigma", "0.8", "--seed", "10", "--rep", "1"],
+        "4a04af8bb32865409d7fe7d292710d2c84e31762d67708ad41ea2fc505880329",
+    ),
+    "trace-gradexplore": (
+        ["trace", "--setting", "2c", "--algo", "gradexplore", "--K", "41", "--T", "2000",
+         "--delta", "0.25", "--seed", "13"],
+        "4b3f728742c4f719130eb968e9959e56ff1c38a18669ca22ebcfd697f7d40a07",
+    ),
 }
 
 
@@ -99,3 +120,51 @@ def test_csv_bytes(case, threads, tmp_path, capsys):
 def test_trace_bytes(case, tmp_path, capsys):
     argv, expected = TRACE_CASES[case]
     assert _digest(argv, tmp_path, capsys) == expected
+
+
+def _lemma_digest():
+    """sha256 of the recorded walks' lemma outputs over 1,400 walks.
+
+    Each walk contributes its ``k_hat``, ``D`` (or the error that refuses it:
+    a tie at the threshold leaves no unique bracketing leaf), ``xi``, the
+    appended arms and every recorded slot mean.
+    """
+    h = hashlib.sha256()
+
+    def add(traj, problem, mode, k_hat=None):
+        try:
+            D = distance_series(traj, problem, mode).astype("<i8").tobytes()
+        except (ValueError, RuntimeError) as exc:
+            D = repr(exc).encode()
+        xi = favorable_series(traj, problem)
+        means = [v for rec in traj.steps for v in rec.slot_means.values()]
+        h.update(repr(k_hat).encode() + D + xi.tobytes()
+                 + repr([rec.appended_arm for rec in traj.steps]).encode()
+                 + np.asarray(means, dtype="<f8").tobytes())
+
+    mono, conc = ShapeClass.MONOTONE, ShapeClass.CONCAVE
+    s1 = make_setting(Setting.S1, 100, 0.2, 0.0, 1.0)
+    tent = augment(make_setting(Setting.S2_CONCAVE, 100, 0.2, 0.0, 1.0), conc)
+    tied = Problem([-1.5, -0.5, 0.0, 0.0, 0.25, 1.0], 0.7, 0.0)
+    tied_cap = augment(Problem([-1.0, 0.0, 0.5, 0.0, -1.0], 0.7, 0.0), conc)
+    for rep in range(200):
+        res = explore(s1, 1000, RngStream(505, rep))
+        add(res.trajectory, res.problem, mono, res.k_hat)
+        s2 = make_setting(Setting.S2, 3 + rep % 60, 0.3, 0.25, 0.0)
+        res = explore(s2, 300 + 7 * rep, RngStream(506, rep))
+        add(res.trajectory, res.problem, mono, res.k_hat)
+        _, traj, spent = gradexplore(tent, 1000, RngStream(507, rep))
+        add(traj, tent, conc, spent)
+        res = explore(tied, 400, RngStream(508, rep))
+        add(res.trajectory, res.problem, mono, res.k_hat)
+        _, traj, spent = gradexplore(tied_cap, 800, RngStream(509, rep))
+        add(traj, tied_cap, conc, spent)
+        res = naive(s1, 300, RngStream(510, rep))
+        add(res.trajectory, res.problem, mono, res.k_hat)
+        res = dexplore(Problem(s1.means[::-1], 1.0, 0.0), 1000, RngStream(511, rep))
+        add(res.trajectory, res.problem, mono, res.k_hat)
+    return h.hexdigest()
+
+
+def test_lemma_outputs():
+    assert _lemma_digest() == "c15d834fe73d7d8b3ad2bf46860837da699c1fbce34f5a2cef1f2f32ec05b5ec"

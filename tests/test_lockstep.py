@@ -114,6 +114,21 @@ def test_prefix_is_the_streams_scalar_draws():
         assert np.array_equal(z[j], [gen.standard_normal() for _ in range(40)])
 
 
+def test_ascending_prefixes_grow_geometrically():
+    # An ascending K sweep asks for one more column per cell; growing to
+    # twice the width keeps the growths logarithmic in the requests.
+    block, k = VariateBlock(31, 2, 6), 200
+    widths = set()
+    for n in range(1, k + 1):
+        z = block.prefix(n)
+        assert z.shape == (4, n)
+        widths.add(block._block.shape[1])
+    assert len(widths) <= k.bit_length() + 1  # 1, 2, 4, ..., 256
+    assert block._block.shape[1] <= 2 * k
+    for j, rep in enumerate(range(2, 6)):
+        assert np.array_equal(z[j], RngStream(31, rep).generator.standard_normal(k))
+
+
 def test_cell_from_grown_block_equals_fresh_streams():
     seed, start, stop = 2024, 17, 45
     shared = VariateBlock(seed, start, stop)
