@@ -9,10 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from . import algos, bounds, harness, tree
-from .env import Problem, RngStream, Setting, ShapeClass, make_setting
+from . import algos, harness, tree
+from .env import RngStream, Setting, ShapeClass
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport
 
 __all__ = ["dispatch", "main"]
 
@@ -177,8 +180,11 @@ def _parse_setting(text: str) -> Setting:
     return _SETTINGS[key]
 
 
-def _experiment_config(args: argparse.Namespace, sweep_param: Optional[str] = None,
+def _experiment_config(args: argparse.Namespace, algo_names: Sequence[str],
+                       sweep_param: Optional[str] = None,
                        sweep_values: Optional[Tuple[float, ...]] = None) -> harness.ExperimentConfig:
+    """The config of run, sweep and trace; its refusals become :class:`ConfigError`,
+    so the three verbs refuse the same instances."""
     setting = _parse_setting(args.setting)
     means = tuple(float(x) for x in _comma_list(args.means)) if args.means else None
     if setting is Setting.CUSTOM:
@@ -200,13 +206,13 @@ def _experiment_config(args: argparse.Namespace, sweep_param: Optional[str] = No
     try:
         return harness.ExperimentConfig(
             setting=setting,
-            algos=tuple(_comma_list(args.algo)),
+            algos=tuple(algo_names),
             K=K,
             T=args.T,
             delta=delta,
             sigma=args.sigma,
             tau=args.tau,
-            reps=args.reps,
+            reps=getattr(args, "reps", 1),
             base_seed=args.seed,
             sweep_param=sweep_param,
             sweep_values=sweep_values,
@@ -251,18 +257,21 @@ def _run_and_emit(args: argparse.Namespace, config: harness.ExperimentConfig) ->
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    return _run_and_emit(args, _experiment_config(args))
+    return _run_and_emit(args, _experiment_config(args, _comma_list(args.algo)))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_grid(args.grid)
     if args.sweep == "K":
         values = [int(v) for v in values]
-    config = _experiment_config(args, sweep_param=args.sweep, sweep_values=tuple(values))
+    config = _experiment_config(args, _comma_list(args.algo), sweep_param=args.sweep,
+                                sweep_values=tuple(values))
     return _run_and_emit(args, config)
 
 
-def _bound_rows(args: argparse.Namespace) -> List[bounds.BoundReport]:
+def _bound_rows(args: argparse.Namespace) -> List[BoundReport]:
+    from . import bounds  # only this verb uses it; the sweep path never loads it
+
     shape = _SHAPES[args.shape]
     sides = ("lower", "upper") if args.side == "both" else (args.side,)
     if shape is ShapeClass.UNSTRUCTURED:
@@ -275,7 +284,7 @@ def _bound_rows(args: argparse.Namespace) -> List[bounds.BoundReport]:
         return [r for r in (lower, upper) if r.side in sides]
     if args.delta_min is None:
         raise ConfigError("--delta-min is required for monotone/concave bounds")
-    out: List[bounds.BoundReport] = []
+    out: List[BoundReport] = []
     for side in sides:
         if side == "lower":
             fn = bounds.monotone_lower if shape is ShapeClass.MONOTONE else bounds.concave_lower
@@ -309,30 +318,18 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    rep = args.rep
-    setting = _parse_setting(args.setting)
-    if setting is Setting.CUSTOM:
-        if not args.means:
-            raise ConfigError("custom setting requires --means")
-        means = tuple(float(x) for x in _comma_list(args.means))
-        problem = Problem(list(means), args.sigma, args.tau)
-        delta = args.delta if args.delta is not None else 0.0
-        K = len(means)
-    else:
-        if args.K is None or args.delta is None:
-            raise ConfigError("--K and --delta are required for non-custom settings")
-        try:
-            problem = make_setting(setting, args.K, args.delta, args.tau, args.sigma)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        delta, K = args.delta, args.K
-    rng = RngStream(args.seed, rep)
+    # Not every traced walker is a harness algorithm; the config's instance
+    # checks, the same as run's and sweep's, do not depend on the algorithm.
+    config = _experiment_config(args, ("uniform",))
+    problem = harness.build_instance(config, config.K, config.delta)
+    rng = RngStream(args.seed, args.rep)
     if args.algo == "gradexplore":
         _, trajectory, _ = algos.gradexplore(problem, args.T, rng)
     else:  # explore, dexplore, naive or ctb
         trajectory = getattr(algos, args.algo)(problem, args.T, rng).trajectory
-    header = (f"# setting={setting.value} algo={args.algo} K={K} T={args.T} "
-              f"delta={delta} sigma={args.sigma} tau={args.tau} seed={args.seed} rep={rep}")
+    header = (f"# setting={config.setting.value} algo={args.algo} K={config.K} T={args.T} "
+              f"delta={config.delta} sigma={args.sigma} tau={args.tau} "
+              f"seed={args.seed} rep={args.rep}")
     lines = [header]
     for t, rec in enumerate(trajectory.steps, start=1):
         node = rec.node

@@ -385,8 +385,8 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
     every gap equal to ``delta``, split at ``K // 2``.  ``S2_CONCAVE``: a
     symmetric tent with consecutive means ``2 * delta`` apart, peak at
     ``tau + 3 * delta`` on the center arm, so every gap is an odd multiple
-    of ``delta``.  ``S1`` and ``S2`` raise ``ValueError`` when rounding
-    next to ``tau`` distorts ``delta`` (:func:`gap_distorted`).
+    of ``delta``.  Every family raises ``ValueError`` when rounding next to
+    ``tau`` distorts ``delta`` (:func:`gap_distorted`).
     """
     if K < 3:
         raise ValueError("K must be >= 3")
@@ -411,7 +411,7 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
     else:
         raise ValueError(f"make_setting does not build {setting!r} instances")
     problem = Problem(means, sigma, tau)
-    if setting is not Setting.S2_CONCAVE and gap_distorted(delta, tau):
+    if gap_distorted(delta, tau):
         raise ValueError(f"delta {delta} rounds away next to tau {tau}")
     if setting is Setting.S2_CONCAVE:
         # Construct-and-check: the tent must be concave with all gaps >= delta/2

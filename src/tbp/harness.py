@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
@@ -34,6 +32,7 @@ __all__ = [
     "wilson_interval",
     "simple_regret",
     "plan_tasks",
+    "build_instance",
     "run_trial",
     "run_experiment",
     "render_csv",
@@ -47,8 +46,9 @@ CSV_HEADER = (
     "ci_low,ci_high,mean_simple_regret,seed,skipped"
 )
 
-#: Two-sided 95% normal quantile used by the Wilson interval.
-_Z95 = statistics.NormalDist().inv_cdf(0.975)
+#: Two-sided 95% normal quantile used by the Wilson interval,
+#: ``statistics.NormalDist().inv_cdf(0.975)`` exactly.
+_Z95 = 1.9599639845400536
 
 #: Most replications one task covers, which bounds a task's variate block
 #: and label arrays at this many rows times the widest cell.
@@ -164,7 +164,8 @@ def wilson_interval(errors: int, n: int, z: float = _Z95) -> Tuple[float, float]
     return min(max(0.0, center - half), p), max(min(1.0, center + half), p)
 
 
-def _build_instance(config: ExperimentConfig, K: int, delta: float) -> Problem:
+def build_instance(config: ExperimentConfig, K: int, delta: float) -> Problem:
+    """The instance at grid point ``(K, delta)`` of ``config``."""
     if config.setting is Setting.CUSTOM:
         return Problem(np.asarray(config.custom_means), config.sigma, config.tau)
     return make_setting(config.setting, K, delta, config.tau, config.sigma)
@@ -178,10 +179,17 @@ def simple_regret(predicted: np.ndarray, truth: np.ndarray, gap_values: np.ndarr
     return float(np.max(np.asarray(gap_values)[mismatch]))
 
 
-def _outcomes(problem: Problem, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row of ``labels``: whether it erred, and its simple regret."""
-    mismatch = labels != true_labels(problem).labels
-    return mismatch.any(axis=1), np.max(np.where(mismatch, gaps(problem).gaps, 0.0), axis=1)
+def _truth(problem: Problem) -> Tuple[np.ndarray, np.ndarray]:
+    """The instance's true labels and gaps, which score every row run on it."""
+    return true_labels(problem).labels, gaps(problem).gaps
+
+
+def _outcomes(truth: Tuple[np.ndarray, np.ndarray],
+              labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of ``labels``: whether it erred against ``truth``, and its simple regret."""
+    right, gap_values = truth
+    mismatch = labels != right
+    return mismatch.any(axis=1), np.max(np.where(mismatch, gap_values, 0.0), axis=1)
 
 
 def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool, float]:
@@ -192,13 +200,13 @@ def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    problem = _build_instance(config, config.K, config.delta)
+    problem = build_instance(config, config.K, config.delta)
     variates = VariateBlock(config.base_seed, rep_index, rep_index + 1)
     if algo == "ctb":
         (res,) = algos.ctb_batch([problem], config.T, variates)
     else:
         res = _LOCKSTEP[algo](problem, config.T, variates)
-    errs, regrets = _outcomes(problem, res.labels)
+    errs, regrets = _outcomes(_truth(problem), res.labels)
     return bool(errs[0]), float(regrets[0])
 
 
@@ -224,23 +232,25 @@ def _run_task(config: ExperimentConfig, start: int,
     """
     variates = VariateBlock(config.base_seed, start, stop)
     out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-    ctb_cells = {}  # cell index -> instance
+    ctb_cells = {}  # cell index -> (instance, its truth)
     for K, delta in _grid(config):
-        problem = _build_instance(config, K, delta)
+        problem = build_instance(config, K, delta)
+        truth = _truth(problem)
         for algo in config.algos:
             try:
                 if algo == "ctb":
                     algos.ctb_check(problem, config.T)
-                    ctb_cells[len(out)] = problem
+                    ctb_cells[len(out)] = problem, truth
                     out.append(None)
                 else:
                     labels = _LOCKSTEP[algo](problem, config.T, variates).labels
-                    out.append(_outcomes(problem, labels))
+                    out.append(_outcomes(truth, labels))
             except algos.BudgetError:
                 out.append(None)
-    results = algos.ctb_batch(list(ctb_cells.values()), config.T, variates, check_shape=False)
-    for (c, problem), res in zip(ctb_cells.items(), results):
-        out[c] = _outcomes(problem, res.labels)
+    results = algos.ctb_batch([p for p, _ in ctb_cells.values()], config.T, variates,
+                              check_shape=False)
+    for (c, (_, truth)), res in zip(ctb_cells.items(), results):
+        out[c] = _outcomes(truth, res.labels)
     return out
 
 
@@ -278,6 +288,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> List[ResultRow
     if workers == 1:
         parts = [_run_task(config, start, stop) for start, stop in ranges]
     else:
+        # Imported here: the pool's modules cost a 1-worker run start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_task, repeat(config), *zip(*ranges)))
     rows: List[ResultRow] = []

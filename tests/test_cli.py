@@ -210,6 +210,9 @@ class TestDispatch:
          "--algo", "uniform"],
         ["run", "--setting", "1", "--K", "4", "--T", "300", "--delta", "0.1", "--tau", "1e15",
          "--algo", "uniform"],
+        ["trace", "--setting", "1", "--K", "10", "--T", "0", "--delta", "0.1", "--algo", "explore"],
+        ["trace", "--setting", "2c", "--K", "5", "--T", "3000", "--delta", "0.1", "--tau", "1e15",
+         "--algo", "gradexplore"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")

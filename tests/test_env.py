@@ -182,7 +182,7 @@ class TestMakeSetting:
         with pytest.raises(ValueError):
             make_setting(Setting.S1, 2, 0.2, 0.0)
 
-    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2])
+    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2, Setting.S2_CONCAVE])
     @pytest.mark.parametrize("tau", [1e17, -1e17, 2.0**60])
     def test_rejects_gap_lost_to_rounding(self, setting, tau):
         # tau + 0.1 == tau here: every gap would silently become 0.
@@ -190,16 +190,17 @@ class TestMakeSetting:
         with pytest.raises(ValueError, match="rounds away"):
             make_setting(setting, 4, 0.1, tau)
 
-    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2])
+    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2, Setting.S2_CONCAVE])
     @pytest.mark.parametrize("tau", [1e15, -1e15])
     def test_rejects_gap_rounding_distorts(self, setting, tau):
-        # The spacing of doubles is 0.125 here: a gap of 0.1 would realize as 0.125.
+        # The spacing of doubles is 0.125 here: a gap of 0.1 would realize as 0.125
+        # (and the tent's 0.3 as 0.25).
         assert abs((tau + 0.1) - tau) == 0.125
         assert gap_distorted(0.1, tau)
         with pytest.raises(ValueError, match="rounds away"):
             make_setting(setting, 4, 0.1, tau)
 
-    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2])
+    @pytest.mark.parametrize("setting", [Setting.S1, Setting.S2, Setting.S2_CONCAVE])
     def test_keeps_gap_rounding_moves_within_tolerance(self, setting):
         tau = 1e8  # a gap of 0.1 realizes as 0.1 - 6e-9
         assert not gap_distorted(0.1, tau)

@@ -1,0 +1,78 @@
+"""Start-up contract: a 1-worker sweep loads only the modules it runs, and the
+package resolves its re-exports on first use."""
+import importlib
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tbp
+from tbp import harness
+
+#: Modules a 1-worker sweep never uses: the process pool, ``statistics`` and
+#: the bounds module.
+UNUSED = ("concurrent.futures.process", "multiprocessing", "statistics", "tbp.bounds")
+
+_SCRIPT = """
+import runpy, sys
+unused = {unused!r}
+
+def loaded(step):
+    found = [m for m in unused if m in sys.modules]
+    assert not found, f"{{step}} loaded {{found}}"
+
+import tbp
+assert not [m for m in sys.modules if m.startswith("tbp.")], "import tbp loaded a submodule"
+import tbp.cli
+loaded("import tbp.cli")
+sys.argv = ["tbp", "sweep", "--setting", "1", "--algo", "explore,naive,uniform", "--K", "8",
+            "--T", "300", "--sweep", "delta", "--grid", "0.3,0.5", "--reps", "4",
+            "--threads", "1", "--out", {out!r}]
+try:
+    runpy.run_module("tbp", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 0, f"sweep exited {{exc.code}}"
+loaded("a 1-worker sweep")
+assert tbp.bounds.monotone_lower is tbp.monotone_lower
+"""
+
+
+def test_one_worker_sweep_imports_only_what_it_runs(tmp_path):
+    out = tmp_path / "sweep.csv"
+    src = str(Path(tbp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    result = subprocess.run(
+        [sys.executable, "-c", _SCRIPT.format(unused=UNUSED, out=str(out))],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    assert len(out.read_text().splitlines()) == 2 + 2 * 3  # comment, header, 6 cells
+
+
+def test_z95_literal_is_the_normal_quantile():
+    assert harness._Z95 == statistics.NormalDist().inv_cdf(0.975)
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("name", tbp.__all__)
+    def test_export_is_its_home_module_object(self, name):
+        value = getattr(tbp, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("tbp.")
+        assert getattr(home, name) is value
+
+    def test_dir_lists_every_export(self):
+        assert set(tbp.__all__) <= set(dir(tbp))
+
+    def test_star_import_binds_all(self):
+        ns = {}
+        exec("from tbp import *", ns)
+        assert set(ns) - {"__builtins__"} == set(tbp.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            tbp.no_such_name  # noqa: B018
+        assert not hasattr(tbp, "no_such_name")
