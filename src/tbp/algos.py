@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,6 +48,8 @@ __all__ = [
     "naive_batch",
     "uniform_batch",
     "ctb_batch",
+    "Algorithm",
+    "ALGORITHMS",
     "distance_series",
     "favorable_series",
 ]
@@ -599,14 +601,12 @@ def _bracket_walk(K, t1: np.ndarray, tau, scale, mean_at: Callable, z: np.ndarra
     return R, cursor
 
 
-def explore_batch(
-    problem: Problem, T: int, variates: VariateBlock, *, check_shape: bool = True
-) -> BatchResult:
+def explore_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
     """:func:`explore` for every replication of ``variates`` in lockstep.
 
     Raises before reading any variate when the shape or budget rule fails.
     """
-    work = _as_monotone_walk_problem(problem, check_shape)
+    work = _as_monotone_walk_problem(problem, True)
     t1, t2 = budget_split(work.K, T)
     z = variates.prefix(3 * t1)
     reps = variates.reps
@@ -617,11 +617,9 @@ def explore_batch(
     return BatchResult(k_hat, labels, t2 * cursor)
 
 
-def naive_batch(
-    problem: Problem, T: int, variates: VariateBlock, *, check_shape: bool = True
-) -> BatchResult:
+def naive_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
     """:func:`naive` for every replication of ``variates`` in lockstep."""
-    work = _as_monotone_walk_problem(problem, check_shape)
+    work = _as_monotone_walk_problem(problem, True)
     H, n = _naive_split(work.K, T)
     z = variates.prefix(H)
     reps, tau = variates.reps, work.tau
@@ -790,8 +788,7 @@ def _ctb_walk(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], T:
         yield BatchResult(k_hat[rows], labels, spent[rows])
 
 
-def ctb_batch(problems: Sequence[Problem], T: int, variates: VariateBlock, *,
-              check_shape: bool = True) -> Iterator[BatchResult]:
+def ctb_batch(problems: Sequence[Problem], T: int, variates: VariateBlock) -> Iterator[BatchResult]:
     """:func:`ctb` for every replication of ``variates`` on each problem, in lockstep.
 
     Each (problem, replication) pair is one row of one walk, so a sweep of
@@ -805,7 +802,7 @@ def ctb_batch(problems: Sequence[Problem], T: int, variates: VariateBlock, *,
     the call and before reading any variate, when any problem fails
     :func:`ctb`'s shape or budget rule.
     """
-    splits = [ctb_check(p, T, check_shape=check_shape) for p in problems]
+    splits = [ctb_check(p, T) for p in problems]
     return _ctb_groups(problems, splits, T, variates)
 
 
@@ -827,9 +824,35 @@ def _ctb_groups(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], 
         start = stop
 
 
-def distance_series(
-    trajectory: Trajectory, problem: Problem, mode: ShapeClass, *, max_arms: int = 2048
-) -> np.ndarray:
+class Algorithm(NamedTuple):
+    """One entry of :data:`ALGORITHMS`; a part the algorithm lacks is ``None``."""
+
+    check: Optional[Callable] = None  # (problem, T): raises what the walk raises before a draw
+    lockstep: Optional[Callable] = None  # (problems, T, variates): a BatchResult per problem
+    trace: Optional[Callable] = None  # (problem, T, rng): the scalar walk's Trajectory
+
+
+#: Every algorithm by name.  The walkers are looked up in this module when
+#: called, so patching ``algos.explore_batch`` and the like reaches every caller.
+ALGORITHMS = {
+    "explore": Algorithm(
+        lambda p, T: budget_split(_as_monotone_walk_problem(p, True).K, T),
+        lambda ps, T, v: (explore_batch(p, T, v) for p in ps),
+        lambda p, T, rng: explore(p, T, rng).trajectory),
+    "dexplore": Algorithm(trace=lambda p, T, rng: dexplore(p, T, rng).trajectory),
+    "naive": Algorithm(
+        lambda p, T: _naive_split(_as_monotone_walk_problem(p, True).K, T),
+        lambda ps, T, v: (naive_batch(p, T, v) for p in ps),
+        lambda p, T, rng: naive(p, T, rng).trajectory),
+    "gradexplore": Algorithm(trace=lambda p, T, rng: gradexplore(p, T, rng)[1]),
+    "uniform": Algorithm(lambda p, T: _uniform_split(p.K, T),
+                         lambda ps, T, v: (uniform_batch(p, T, v) for p in ps)),
+    "ctb": Algorithm(ctb_check, lambda ps, T, v: ctb_batch(ps, T, v),
+                     lambda p, T, rng: ctb(p, T, rng).trajectory),
+}
+
+
+def distance_series(trajectory: Trajectory, problem: Problem, mode: ShapeClass) -> np.ndarray:
     """Tree-distance potential from each visited node to the target region.
 
     ``problem`` must be the instance the walk ran on (``AlgoResult.problem``).
@@ -841,8 +864,6 @@ def distance_series(
     comes from its deepest ancestor-or-self on the way to the target, which
     one pass over ``trajectory.parent_step`` finds for every node.
     """
-    if problem.K > max_arms:
-        raise ValueError(f"K = {problem.K} exceeds the exhaustive-search cap {max_arms}")
     means, tau = problem.means, problem.tau
     if mode is ShapeClass.MONOTONE:
         if np.count_nonzero((means[:-1] <= tau) & (tau <= means[1:])) != 1:

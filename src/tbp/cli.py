@@ -7,6 +7,7 @@ error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -49,19 +50,16 @@ def _comma_list(text: str) -> List[str]:
 
 def _parse_grid(spec: str) -> List[float]:
     """Grid values: either ``v1,v2,...`` or ``start:stop:step`` (inclusive)."""
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ConfigError("grid range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError("grid range must have step > 0 and stop >= start")
-        count = int((stop - start) / step + 1e-9) + 1
-        return [round(start + i * step, 10) for i in range(count)]
     try:
-        return [float(tok) for tok in _comma_list(spec)]
+        if ":" not in spec:
+            return [float(tok) for tok in _comma_list(spec)]
+        start, stop, step = (float(p) for p in spec.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"bad grid value: {exc}") from exc
+        raise ConfigError(f"bad grid value: {exc} (use v1,v2,... or start:stop:step)") from exc
+    if not (step > 0 and -math.inf < start <= stop < math.inf):
+        raise ConfigError("grid range must be finite, with step > 0 and stop >= start")
+    count = int((stop - start) / step + 1e-9) + 1
+    return [round(start + i * step, 10) for i in range(count)]
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -84,12 +82,13 @@ def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    algo_help = "comma-separated: " + ",".join(harness.ALGORITHMS)
     parser = argparse.ArgumentParser(prog="tbp", description="Thresholding-bandit simulation toolkit")
     subs = parser.add_subparsers(dest="verb", required=True)
 
     p_run = subs.add_parser("run", help="run algorithms at one grid point, emit CSV")
     _add_instance_flags(p_run)
-    p_run.add_argument("--algo", required=True, help="comma-separated: explore,naive,uniform,ctb")
+    p_run.add_argument("--algo", required=True, help=algo_help)
     p_run.add_argument("--reps", type=int, default=1, help="Monte-Carlo replications")
     p_run.add_argument("--out", help="CSV output path (default: stdout)")
     _add_common(p_run)
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subs.add_parser("sweep", help="run algorithms over a parameter grid, emit CSV")
     _add_instance_flags(p_sweep)
-    p_sweep.add_argument("--algo", required=True, help="comma-separated: explore,naive,uniform,ctb")
+    p_sweep.add_argument("--algo", required=True, help=algo_help)
     p_sweep.add_argument("--reps", type=int, default=1, help="Monte-Carlo replications per point")
     p_sweep.add_argument("--sweep", required=True, choices=("delta", "K"), help="swept parameter")
     p_sweep.add_argument("--grid", required=True, help="values v1,v2,... or start:stop:step")
@@ -124,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = subs.add_parser("trace", help="dump one replication's walk, step by step")
     _add_instance_flags(p_trace)
     p_trace.add_argument("--algo", required=True,
-                         choices=("explore", "dexplore", "naive", "gradexplore", "ctb"))
+                         choices=[name for name, a in algos.ALGORITHMS.items() if a.trace])
     p_trace.add_argument("--rep", type=int, default=0, help="replication index (default 0)")
     p_trace.add_argument("--out", help="output path (default: stdout)")
     _add_common(p_trace)
@@ -186,24 +185,24 @@ def _experiment_config(args: argparse.Namespace, algo_names: Sequence[str],
     """The config of run, sweep and trace; its refusals become :class:`ConfigError`,
     so the three verbs refuse the same instances."""
     setting = _parse_setting(args.setting)
-    means = tuple(float(x) for x in _comma_list(args.means)) if args.means else None
-    if setting is Setting.CUSTOM:
-        if not means:
-            raise ConfigError("custom setting requires --means")
-        K = len(means)
-        delta = args.delta if args.delta is not None else 0.0
-    else:
-        K, delta = args.K, args.delta
-        # A swept parameter needs no flag; its grid supplies the values.
-        if K is None and sweep_param == "K":
-            K = int(sweep_values[0])
-        if delta is None and sweep_param == "delta":
-            delta = float(sweep_values[0])
-        if K is None:
-            raise ConfigError("--K is required for non-custom settings")
-        if delta is None:
-            raise ConfigError("--delta is required for non-custom settings")
     try:
+        means = tuple(float(x) for x in _comma_list(args.means)) if args.means else None
+        if setting is Setting.CUSTOM:
+            if not means:
+                raise ConfigError("custom setting requires --means")
+            K = len(means)
+            delta = args.delta if args.delta is not None else 0.0
+        else:
+            K, delta = args.K, args.delta
+            # A swept parameter needs no flag; its grid supplies the values.
+            if K is None and sweep_param == "K":
+                K = sweep_values[0]
+            if delta is None and sweep_param == "delta":
+                delta = float(sweep_values[0])
+            if K is None:
+                raise ConfigError("--K is required for non-custom settings")
+            if delta is None:
+                raise ConfigError("--delta is required for non-custom settings")
         return harness.ExperimentConfig(
             setting=setting,
             algos=tuple(algo_names),
@@ -262,8 +261,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_grid(args.grid)
-    if args.sweep == "K":
-        values = [int(v) for v in values]
+    if args.sweep == "K":  # integral values print as ints; the config refuses the rest
+        values = [int(v) if v % 1 == 0 else v for v in values]
     config = _experiment_config(args, _comma_list(args.algo), sweep_param=args.sweep,
                                 sweep_values=tuple(values))
     return _run_and_emit(args, config)
@@ -320,13 +319,9 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     # Not every traced walker is a harness algorithm; the config's instance
     # checks, the same as run's and sweep's, do not depend on the algorithm.
-    config = _experiment_config(args, ("uniform",))
+    config = _experiment_config(args, harness.ALGORITHMS)
     problem = harness.build_instance(config, config.K, config.delta)
-    rng = RngStream(args.seed, args.rep)
-    if args.algo == "gradexplore":
-        _, trajectory, _ = algos.gradexplore(problem, args.T, rng)
-    else:  # explore, dexplore, naive or ctb
-        trajectory = getattr(algos, args.algo)(problem, args.T, rng).trajectory
+    trajectory = algos.ALGORITHMS[args.algo].trace(problem, args.T, RngStream(args.seed, args.rep))
     header = (f"# setting={config.setting.value} algo={args.algo} K={config.K} T={args.T} "
               f"delta={config.delta} sigma={args.sigma} tau={args.tau} "
               f"seed={args.seed} rep={args.rep}")

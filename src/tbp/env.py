@@ -27,6 +27,7 @@ __all__ = [
     "shape_check",
     "sample_mean",
     "make_setting",
+    "check_setting",
     "GAP_RTOL",
     "gap_distorted",
     "augment",
@@ -376,6 +377,19 @@ def gap_distorted(delta: float, tau: float) -> bool:
     return any(abs(abs((tau + s * delta) - tau) - delta) > GAP_RTOL * delta for s in (1.0, -1.0))
 
 
+def check_setting(setting: Setting, K: int, delta: float, tau: float) -> None:
+    """Raise ``ValueError`` unless ``K >= 3`` and ``delta`` is finite, positive, undistorted
+    next to ``tau`` (:func:`gap_distorted`) and, for ``S1``, below ``LARGE_GAP``."""
+    if K < 3:
+        raise ValueError(f"K must be >= 3, got {K}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
+    if setting is Setting.S1 and delta >= LARGE_GAP:
+        raise ValueError(f"S1 requires delta < {LARGE_GAP}, got {delta}")
+    if gap_distorted(delta, tau):
+        raise ValueError(f"delta {delta} rounds away next to tau {tau}")
+
+
 def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: float = 1.0) -> Problem:
     """Build one of the named benchmark instances.
 
@@ -385,17 +399,12 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
     every gap equal to ``delta``, split at ``K // 2``.  ``S2_CONCAVE``: a
     symmetric tent with consecutive means ``2 * delta`` apart, peak at
     ``tau + 3 * delta`` on the center arm, so every gap is an odd multiple
-    of ``delta``.  Every family raises ``ValueError`` when rounding next to
-    ``tau`` distorts ``delta`` (:func:`gap_distorted`).
+    of ``delta``.  Every family raises ``ValueError`` for what
+    :func:`check_setting` refuses.
     """
-    if K < 3:
-        raise ValueError("K must be >= 3")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    check_setting(setting, K, delta, tau)
     half = K // 2
     if setting is Setting.S1:
-        if delta >= LARGE_GAP:
-            raise ValueError(f"S1 requires delta < {LARGE_GAP}")
         means = np.empty(K)
         means[:half] = tau - LARGE_GAP
         means[half] = tau + delta
@@ -411,8 +420,6 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
     else:
         raise ValueError(f"make_setting does not build {setting!r} instances")
     problem = Problem(means, sigma, tau)
-    if gap_distorted(delta, tau):
-        raise ValueError(f"delta {delta} rounds away next to tau {tau}")
     if setting is Setting.S2_CONCAVE:
         # Construct-and-check: the tent must be concave with all gaps >= delta/2
         # and at least one arm above threshold.

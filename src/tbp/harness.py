@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import algos
-from .env import (LARGE_GAP, Problem, Setting, VariateBlock, gap_distorted, gaps, make_setting,
-                  true_labels)
+from .env import Problem, Setting, VariateBlock, check_setting, gaps, make_setting, true_labels
 
 __all__ = [
     "ALGORITHMS",
@@ -39,7 +39,8 @@ __all__ = [
     "write_csv",
 ]
 
-ALGORITHMS = ("explore", "naive", "uniform", "ctb")
+#: The algorithms a sweep can run: those with a lockstep walker.
+ALGORITHMS = tuple(name for name, entry in algos.ALGORITHMS.items() if entry.lockstep)
 
 CSV_HEADER = (
     "setting,algo,K,T,delta,sigma,tau,reps,errors,error_rate,"
@@ -53,11 +54,6 @@ _Z95 = 1.9599639845400536
 #: Most replications one task covers, which bounds a task's variate block
 #: and label arrays at this many rows times the widest cell.
 _TASK_REPS = 1024
-
-#: Walkers that run every replication of one cell in lockstep.  ``ctb`` runs
-#: every replication of all of a task's cells as one walk (``algos.ctb_batch``).
-_LOCKSTEP = {"explore": algos.explore_batch, "naive": algos.naive_batch,
-             "uniform": algos.uniform_batch}
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,7 @@ class ExperimentConfig:
             if not self.custom_means:
                 raise ValueError("custom setting requires custom_means")
             object.__setattr__(self, "custom_means", tuple(float(x) for x in self.custom_means))
+            Problem(self.custom_means, self.sigma, self.tau)  # refuses what build_instance would
         elif not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")
         if self.sweep_param is not None:
@@ -106,19 +103,14 @@ class ExperimentConfig:
                 raise ValueError("sweep_values must be nonempty when sweeping")
             if any(y <= x for x, y in zip(vals, vals[1:])):
                 raise ValueError("sweep_values must be strictly increasing")
+            if self.sweep_param == "K" and any(v % 1 for v in vals):
+                raise ValueError("K sweep values must be integers")
             if self.setting is Setting.CUSTOM:
                 raise ValueError("sweeps are not supported for custom instances")
             object.__setattr__(self, "sweep_values", vals)
         if self.setting is not Setting.CUSTOM:
             for K, delta in _grid(self):
-                if K < 3:
-                    raise ValueError(f"K must be >= 3 at every grid point, got {K}")
-                if not (math.isfinite(delta) and delta > 0):
-                    raise ValueError(f"delta must be finite and positive, got {delta}")
-                if self.setting is Setting.S1 and delta >= LARGE_GAP:
-                    raise ValueError(f"S1 requires delta < {LARGE_GAP}, got {delta}")
-                if gap_distorted(delta, self.tau):
-                    raise ValueError(f"delta {delta} rounds away next to tau {self.tau}")
+                check_setting(self.setting, K, delta, self.tau)
 
 
 @dataclass(frozen=True)
@@ -202,10 +194,7 @@ def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool
         raise ValueError(f"unknown algorithm {algo!r}")
     problem = build_instance(config, config.K, config.delta)
     variates = VariateBlock(config.base_seed, rep_index, rep_index + 1)
-    if algo == "ctb":
-        (res,) = algos.ctb_batch([problem], config.T, variates)
-    else:
-        res = _LOCKSTEP[algo](problem, config.T, variates)
+    (res,) = algos.ALGORITHMS[algo].lockstep([problem], config.T, variates)
     errs, regrets = _outcomes(_truth(problem), res.labels)
     return bool(errs[0]), float(regrets[0])
 
@@ -218,40 +207,28 @@ def _grid(config: ExperimentConfig) -> List[Tuple[int, float]]:
     return [(config.K, config.delta)]
 
 
-def _cells(config: ExperimentConfig) -> List[Tuple[int, float, str]]:
-    return [(K, delta, algo) for K, delta in _grid(config) for algo in config.algos]
-
-
 def _run_task(config: ExperimentConfig, start: int,
               stop: int) -> List[Optional[Tuple[np.ndarray, np.ndarray]]]:
-    """Replications ``start..stop`` of every cell, in :func:`_cells` order.
+    """Replications ``start..stop`` of every (grid point, algorithm) cell, grid-major.
 
     A cell whose budget rule fails yields ``None``.  Budget rules depend
     only on the instance and ``T``, so every task skips the same cells.
-    The ``ctb`` cells that pass theirs run last, as one lockstep walk.
+    Each algorithm walks all the cells that pass its rule in one lockstep call.
     """
     variates = VariateBlock(config.base_seed, start, stop)
-    out: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-    ctb_cells = {}  # cell index -> (instance, its truth)
-    for K, delta in _grid(config):
-        problem = build_instance(config, K, delta)
-        truth = _truth(problem)
-        for algo in config.algos:
-            try:
-                if algo == "ctb":
-                    algos.ctb_check(problem, config.T)
-                    ctb_cells[len(out)] = problem, truth
-                    out.append(None)
-                else:
-                    labels = _LOCKSTEP[algo](problem, config.T, variates).labels
-                    out.append(_outcomes(truth, labels))
-            except algos.BudgetError:
-                out.append(None)
-    results = algos.ctb_batch([p for p, _ in ctb_cells.values()], config.T, variates,
-                              check_shape=False)
-    for (c, (_, truth)), res in zip(ctb_cells.items(), results):
-        out[c] = _outcomes(truth, res.labels)
-    return out
+    problems = [build_instance(config, K, delta) for K, delta in _grid(config)]
+    truths = [_truth(problem) for problem in problems]
+    out = {}  # (grid point, algorithm) -> outcomes
+    for name in config.algos:
+        entry, kept = algos.ALGORITHMS[name], []
+        for g, problem in enumerate(problems):
+            with suppress(algos.BudgetError):
+                entry.check(problem, config.T)
+                kept.append(g)
+        results = entry.lockstep([problems[g] for g in kept], config.T, variates)
+        for g, res in zip(kept, results):
+            out[g, name] = _outcomes(truths[g], res.labels)
+    return [out.get(cell) for cell in product(range(len(problems)), config.algos)]
 
 
 def _usable_cores() -> int:
@@ -294,7 +271,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> List[ResultRow
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_task, repeat(config), *zip(*ranges)))
     rows: List[ResultRow] = []
-    for c, (K, delta, algo) in enumerate(_cells(config)):
+    for c, ((K, delta), algo) in enumerate(product(_grid(config), config.algos)):
         est = None
         if parts[0][c] is not None:
             errs = np.concatenate([part[c][0] for part in parts])

@@ -1,9 +1,11 @@
+import re
 import subprocess
 import sys
 
 import pytest
 
-from tbp.cli import dispatch
+from tbp.algos import ALGORITHMS
+from tbp.cli import build_parser, dispatch
 
 
 def run_cli(capsys, *argv):
@@ -213,11 +215,35 @@ class TestDispatch:
         ["trace", "--setting", "1", "--K", "10", "--T", "0", "--delta", "0.1", "--algo", "explore"],
         ["trace", "--setting", "2c", "--K", "5", "--T", "3000", "--delta", "0.1", "--tau", "1e15",
          "--algo", "gradexplore"],
+        ["sweep", "--setting", "1", "--algo", "explore", "--delta", "0.3", "--T", "3000",
+         "--sweep", "K", "--grid", "3.7,5", "--reps", "2"],
+        ["sweep", "--setting", "1", "--algo", "explore", "--delta", "0.3", "--T", "3000",
+         "--sweep", "K", "--grid", "3:9:2.5", "--reps", "2"],
+        ["sweep", "--setting", "2", "--algo", "uniform", "--K", "3", "--T", "60",
+         "--sweep", "delta", "--grid", "a:b:c"],
+        ["sweep", "--setting", "2", "--algo", "uniform", "--K", "3", "--T", "60",
+         "--sweep", "delta", "--grid", "0.1:inf:0.1"],
+        ["run", "--setting", "custom", "--means=0.1,abc", "--algo", "uniform", "--T", "30"],
+        ["run", "--setting", "custom", "--means=0.1,nan", "--algo", "uniform", "--T", "30"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")
         assert code == 1
         assert "config error" in err
+
+    def test_algorithm_names_come_from_the_registry(self, capsys):
+        assert dispatch(["run", "--help"]) == 0
+        listed = re.search(r"comma-separated:\s+(\S+)", capsys.readouterr().out).group(1)
+        assert listed.split(",") == [n for n, entry in ALGORITHMS.items() if entry.lockstep]
+        parser = build_parser()
+        for name, entry in [*ALGORITHMS.items(), ("bogus", None)]:
+            argv = ["trace", "--setting", "1", "--T", "10", "--algo", name]
+            if entry is not None and entry.trace:
+                assert parser.parse_args(argv).algo == name
+            else:
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv)
+        capsys.readouterr()
 
     def test_shape_violation_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--setting", "custom", "--means=0.5,-0.1,0.2",

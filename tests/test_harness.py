@@ -6,7 +6,7 @@ import scipy.stats
 
 import tbp.algos
 from tbp import ExperimentConfig, Setting, run_experiment, run_trial, wilson_interval, write_csv
-from tbp.harness import CSV_HEADER, _row_line, plan_tasks, simple_regret
+from tbp.harness import ALGORITHMS, CSV_HEADER, _row_line, plan_tasks, simple_regret
 
 
 def cfg(**overrides):
@@ -61,6 +61,9 @@ class TestConfigValidation:
         dict(setting=Setting.S1, tau=-1e17, delta=0.1),
         dict(setting=Setting.S2_CONCAVE, tau=1e17, delta=0.1),
         dict(tau=1e15, sweep_param="delta", sweep_values=(0.01, 0.1)),
+        dict(sweep_param="K", sweep_values=(3.7, 5)),
+        dict(sweep_param="K", sweep_values=(3, float("inf"))),
+        dict(setting=Setting.CUSTOM, custom_means=(0.1, float("nan")), K=2),
     ])
     def test_rejects_values_no_instance_can_honour(self, overrides):
         with pytest.raises(ValueError):
@@ -205,6 +208,25 @@ class TestNoHiddenTrials:
         (walked,) = calls  # one lockstep walk spans every ctb cell of the task
         assert walked.count(3) == walked.count(9) == c.reps
         assert 257 not in walked  # skipped by the budget rule, never walked
+
+    @pytest.mark.parametrize("walker", ["explore_batch", "naive_batch", "uniform_batch",
+                                        "ctb_batch"])
+    def test_patched_lockstep_walker_is_seen(self, monkeypatch, walker):
+        # A tracer wraps the lockstep walkers by module attribute, so the
+        # harness must look each of them up there when it walks.
+        calls = []
+        real = getattr(tbp.algos, walker)
+
+        def counting(*args, **kwargs):
+            calls.append(walker)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tbp.algos, walker, counting)
+        # Means on a line are both relaxed-monotone and concave: every algorithm runs.
+        c = cfg(setting=Setting.CUSTOM, custom_means=tuple(np.arange(-4, 4) + 0.5), K=8,
+                algos=ALGORITHMS, T=3000, reps=3)
+        assert not any(row.skipped for row in run_experiment(c))
+        assert calls
 
 
 class TestCsv:

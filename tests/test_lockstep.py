@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from tbp import BudgetError, Problem, RngStream, Setting, ShapeError, make_setting
 import tbp.algos
 from tbp.algos import (
+    ALGORITHMS,
     budget_split,
     ctb,
     ctb_batch,
@@ -34,6 +35,8 @@ PAIRS = {"explore": (explore, explore_batch), "naive": (naive, naive_batch),
 
 def budget_floor(algo, K):
     """Smallest budget each walker accepts on a raw K-armed instance."""
+    if algo == "ctb":
+        return ctb_floor(K)
     if algo == "uniform":
         return K
     if algo == "naive":
@@ -90,12 +93,18 @@ def test_noiseless_ties_exhaustive(algo):
                 assert_rows_match(algo, problem, 2 * budget_floor(algo, K), 0, 0, 1)
 
 
-@pytest.mark.parametrize("algo", sorted(PAIRS))
+@pytest.mark.parametrize("algo", [name for name, entry in ALGORITHMS.items() if entry.lockstep])
 def test_budget_error_before_any_draw(algo):
-    problem = make_setting(Setting.S1, 50, 0.3, 0.0, 1.0)
+    # Means on a line with half-integer steps are exactly relaxed-monotone
+    # and concave in floats, so every algorithm's shape rule passes.
+    problem = Problem(np.arange(-25, 25) + 0.5, 1.0, 0.0)
+    entry, T = ALGORITHMS[algo], budget_floor(algo, problem.K)
+    entry.check(problem, T)
+    with pytest.raises(BudgetError):
+        entry.check(problem, T - 1)
     block = VariateBlock(1, 0, 4)
     with pytest.raises(BudgetError):
-        PAIRS[algo][1](problem, budget_floor(algo, problem.K) - 1, block)
+        list(entry.lockstep([problem], T - 1, block))
     assert block._generators is None  # no stream was even built
 
 

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from tbp import (Action, Problem, RngStream, ShapeClass, StepRecord, Trajectory, augment,
+from tbp import (Action, Problem, RngStream, Setting, ShapeClass, StepRecord, Trajectory, augment,
                  budget_split, dexplore, distance_series, explore, favorable_series,
-                 gradexplore, naive)
+                 gradexplore, make_setting, naive)
 from tbp.tree import max_depth
 from test_lockstep import concave_instances, instances
 
@@ -99,6 +99,11 @@ def test_noiseless_ties_exhaustive(algo):
             for ties in range(K - below + 1):
                 means = [-1.0] * below + [0.0] * ties + [1.0] * (K - below - ties)
                 check_monotone_walker(Problem(means, 0.0, 0.0), algo, 2, 0, 0, 0, 0)
+
+
+def test_wide_instance_equals_oracle():
+    # Wider than any cap on K: the lemma series need no search over all nodes.
+    check_monotone_walker(make_setting(Setting.S1, 3000, 0.3, 0.0, 1.0), "explore", 1, 0, 5, 0, 0)
 
 
 @settings(max_examples=150, deadline=None)
