@@ -14,8 +14,9 @@ _EXPORTS = {
     **dict.fromkeys((
         "Action", "AlgoResult", "BatchResult", "BudgetError", "GradState", "ShapeError",
         "StepRecord", "Trajectory", "budget_split", "ctb", "ctb_batch", "dexplore",
-        "distance_series", "explore", "explore_batch", "favorable_series", "gradexplore",
-        "naive", "naive_batch", "uniform", "uniform_batch"), "algos"),
+        "explore", "explore_batch", "gradexplore", "naive", "naive_batch", "uniform",
+        "uniform_batch"), "algos"),
+    **dict.fromkeys(("distance_series", "favorable_series"), "diagnostics"),
     **dict.fromkeys((
         "BoundReport", "PerturbationError", "adversarial_monotone_pair", "concave_lower",
         "concave_perturb", "concave_upper", "monotone_lower", "monotone_upper",

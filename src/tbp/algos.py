@@ -1,10 +1,11 @@
-"""Sampling algorithms: tree searches, baselines, and trajectory diagnostics.
+"""Sampling algorithms: tree searches, baselines, and their recorded trajectories.
 
 The tree searches walk the extended binary tree of :mod:`tbp.tree`, spending a
 fixed per-arm budget at each visited node.  Estimates are per *arm*: when two
 slots of a node reference the same arm (leaves have ``M == L``), they share
 one estimate.  Sentinel arms return their exact value at zero cost, so budget
-is only charged for real arms.
+is only charged for real arms.  The trajectory diagnostics live in
+:mod:`tbp.diagnostics` and are importable from here too.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 import numpy as np
 
+from .diagnostics import distance_series, favorable_series
 from .env import (
     Classification,
     Problem,
@@ -93,6 +95,15 @@ class StepRecord:
 #: The ``Trajectory.action`` codes: indices into ``Action``.
 _ACTIONS = tuple(Action)
 _LEFT, _RIGHT, _PARENT, _STAY, _DUP = range(5)  # in Action's order
+
+
+def _view(cls, **fields):
+    """``cls(**fields)`` for a frozen dataclass, filled in place: without its per-field
+    ``object.__setattr__`` and checks, for the views of a walk's columns, which
+    are valid by construction."""
+    view = object.__new__(cls)
+    view.__dict__.update(fields)
+    return view
 
 
 class _Walk:
@@ -197,13 +208,15 @@ class Trajectory:
             node = built.get((l, r, dup))
             if node is None:
                 path = out[up].path + (out[up],) if up >= 0 else ()
-                node = built[(l, r, dup)] = Node(l, (l + r) // 2, r, depth, dup, path)
+                node = built[(l, r, dup)] = _view(Node, left=l, mid=(l + r) // 2, right=r,
+                                                  depth=depth, dup_count=dup, path=path)
             out.append(node)
         return out
 
     @cached_property
     def steps(self) -> Tuple[StepRecord, ...]:
-        return tuple(StepRecord(node, dict(zip(self.slots, est)), _ACTIONS[act], spent, arm or None)
+        return tuple(_view(StepRecord, node=node, slot_means=dict(zip(self.slots, est)),
+                           action=_ACTIONS[act], budget_spent=spent, appended_arm=arm or None)
                      for node, est, (act, spent, arm)
                      in zip(self._node_views, self.estimates.tolist(), self._moves.tolist()))
 
@@ -850,80 +863,3 @@ ALGORITHMS = {
     "ctb": Algorithm(ctb_check, lambda ps, T, v: ctb_batch(ps, T, v),
                      lambda p, T, rng: ctb(p, T, rng).trajectory),
 }
-
-
-def distance_series(trajectory: Trajectory, problem: Problem, mode: ShapeClass) -> np.ndarray:
-    """Tree-distance potential from each visited node to the target region.
-
-    ``problem`` must be the instance the walk ran on (``AlgoResult.problem``).
-    In Monotone mode the target is the unique leaf bracketing the threshold
-    and the potential may go negative along its duplicate chain; in Concave
-    mode the target is the set of nodes holding an above-threshold arm and
-    the potential is clamped at zero inside it.  The returned vector covers
-    the ``T1`` visited nodes plus the terminal one.  A node's potential
-    comes from its deepest ancestor-or-self on the way to the target, which
-    one pass over ``trajectory.parent_step`` finds for every node.
-    """
-    means, tau = problem.means, problem.tau
-    if mode is ShapeClass.MONOTONE:
-        if np.count_nonzero((means[:-1] <= tau) & (tau <= means[1:])) != 1:
-            raise ValueError("no unique threshold-bracketing leaf")
-
-        def on_way(l, r):  # the node brackets the threshold
-            return (means[l - 1] <= tau) & (tau <= means[r - 1])
-
-        def is_target(l, r):
-            return r == l + 1
-        ambiguous = ValueError("bracket descent is ambiguous")
-        lost = "no bracketing ancestor (root should bracket)"
-    elif mode is ShapeClass.CONCAVE:
-        above = np.flatnonzero(means > tau)
-        if above.size == 0:
-            raise ValueError("no arm above the threshold")
-        a, b = int(above[0]) + 1, int(above[-1]) + 1
-
-        def on_way(l, r):  # the node overlaps the above-threshold arms
-            return (l <= b) & (a <= r)
-
-        def is_target(l, r):
-            return max(means[l - 1], means[(l + r) // 2 - 1], means[r - 1]) > tau
-        ambiguous = RuntimeError("region descent is ambiguous")
-        lost = "no overlapping ancestor (root should overlap)"
-    else:
-        raise ValueError("mode must be Monotone or Concave")
-    # Descend from the root to the target through the one child on the way.
-    # Every leaf reached is a target: in Monotone mode by definition, and in
-    # Concave mode a leaf reached through lone overlapping children holds a or b.
-    l, r, target = 1, problem.K, 0
-    while not is_target(l, r):
-        m = (l + r) // 2
-        cands = [(x, y) for x, y in ((l, m), (m, r)) if on_way(x, y)]
-        if len(cands) != 1:
-            raise ambiguous
-        (l, r), target = cands[0], target + 1
-    deepest: List[int] = []  # depth of each node's deepest ancestor-or-self on the way
-    hits = on_way(trajectory.left, trajectory.right).tolist()
-    for hit, d, up in zip(hits, trajectory.depth.tolist(), trajectory.parent_step.tolist()):
-        if not hit and up < 0:
-            raise RuntimeError(lost)
-        deepest.append(d if hit else deepest[up])
-    w = np.array(deepest, dtype=np.int64)
-    if mode is ShapeClass.MONOTONE:
-        return (trajectory.depth - w) + (target - w)
-    return (trajectory.depth - w) + np.maximum(target - w, 0)
-
-
-def favorable_series(trajectory: Trajectory, problem: Problem) -> np.ndarray:
-    """Per-step indicator that every sampled slot is within ``delta_min`` of truth.
-
-    Sentinel slots (and the virtual arm past the augmented range) are exact
-    and always count as favorable.
-    """
-    means = problem.means
-    delta_min = float(np.min(np.abs(means - problem.tau)))  # as gaps(), without a GapVector
-    arms = trajectory.slot_arms
-    lo, hi = (2, problem.K - 1) if problem.sentinels is not None else (1, problem.K)
-    real = (arms >= lo) & (arms <= hi)
-    est = np.where(real, trajectory.estimates, 0.0)
-    truth = np.where(real, means[np.where(real, arms - 1, 0)], 0.0)
-    return ~(np.abs(est - truth) > delta_min).any(axis=1)

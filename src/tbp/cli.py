@@ -40,6 +40,11 @@ _SHAPES = {
 }
 
 
+#: Most values a ``--grid`` may hold.  A range's point count is checked before
+#: any value is built, so ``--grid 0:1e9:1e-9`` is refused at once.
+MAX_GRID_POINTS = 10_000
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent command-line configuration."""
 
@@ -49,17 +54,31 @@ def _comma_list(text: str) -> List[str]:
 
 
 def _parse_grid(spec: str) -> List[float]:
-    """Grid values: either ``v1,v2,...`` or ``start:stop:step`` (inclusive)."""
+    """Grid values: either ``v1,v2,...`` or ``start:stop:step`` (inclusive).
+
+    A grid holds at most ``MAX_GRID_POINTS`` values; a range's count is
+    checked before any of its values is built.
+    """
+    is_range = ":" in spec
     try:
-        if ":" not in spec:
-            return [float(tok) for tok in _comma_list(spec)]
-        start, stop, step = (float(p) for p in spec.split(":"))
+        if is_range:
+            start, stop, step = (float(p) for p in spec.split(":"))
+        else:
+            values = [float(tok) for tok in _comma_list(spec)]
     except ValueError as exc:
         raise ConfigError(f"bad grid value: {exc} (use v1,v2,... or start:stop:step)") from exc
-    if not (step > 0 and -math.inf < start <= stop < math.inf):
-        raise ConfigError("grid range must be finite, with step > 0 and stop >= start")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [round(start + i * step, 10) for i in range(count)]
+    if is_range:
+        if not (step > 0 and -math.inf < start <= stop < math.inf):
+            raise ConfigError("grid range must be finite, with step > 0 and stop >= start")
+        span = (stop - start) / step + 1e-9  # the point count less one; inf for a huge range
+        count = int(min(span, MAX_GRID_POINTS)) + 1
+    else:
+        count = len(values)
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"a grid holds at most {MAX_GRID_POINTS} values")
+    if is_range:
+        values = [round(start + i * step, 10) for i in range(count)]
+    return values
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

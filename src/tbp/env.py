@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,12 @@ __all__ = [
 
 #: Gap assigned to the "very large" arms of the one-small-gap instance family.
 LARGE_GAP = 100.0
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """A copy of ``values`` over an immutable ``bytes`` buffer, so it can never be made writable."""
+    a = np.asarray(values, dtype=dtype)
+    return np.frombuffer(a.tobytes(), dtype=dtype).reshape(a.shape)
 
 
 class ShapeClass(Enum):
@@ -73,6 +79,9 @@ class Problem:
         When set, arms ``1`` and ``K`` are deterministic sentinel arms with
         exactly these values (``-inf`` low and ``+inf`` or ``-inf`` high).
         Sampling a sentinel costs zero budget.
+
+    ``means`` is a read-only view of an immutable buffer, so the instance
+    never changes, and :meth:`derived` keeps the facts computed from it.
     """
 
     means: np.ndarray
@@ -81,11 +90,11 @@ class Problem:
     sentinels: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        means = np.array(self.means, dtype=np.float64, copy=True)
+        means = _frozen(self.means, np.float64)
         if means.ndim != 1 or means.size < 1:
             raise ValueError("means must be a non-empty 1-d vector")
-        means.setflags(write=False)
         object.__setattr__(self, "means", means)
+        object.__setattr__(self, "_derived", {})
         object.__setattr__(self, "sigma", float(self.sigma))
         object.__setattr__(self, "tau", float(self.tau))
         if not math.isfinite(self.tau):
@@ -107,6 +116,25 @@ class Problem:
             interior = means
         if not np.all(np.isfinite(interior)):
             raise ValueError("non-sentinel means must be finite")
+
+    def derived(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(self, *args)``, computed on the first call and kept while the instance lives.
+
+        Every fact that depends only on the instance (its augmented twin, a
+        shape verdict, a lemma series' target) is kept here, keyed by
+        ``(fn, *args)``.  A call that raises keeps nothing, so it raises
+        again on the next call.
+        """
+        memo, key = self._derived, (fn, *args)
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = fn(self, *args)
+            return value
+
+    def __reduce__(self):
+        # A copy is built afresh: its means frozen again, its memo empty.
+        return Problem, (self.means, self.sigma, self.tau, self.sentinels)
 
     @property
     def K(self) -> int:
@@ -159,14 +187,16 @@ class GapVector:
     delta_min: float
 
     def __post_init__(self) -> None:
-        g = np.array(self.gaps, dtype=np.float64, copy=True)
-        g.setflags(write=False)
+        g = _frozen(self.gaps, np.float64)
         object.__setattr__(self, "gaps", g)
         object.__setattr__(self, "delta_min", float(self.delta_min))
         if np.any(g < 0):
             raise ValueError("gaps must be nonnegative")
         if g.size and self.delta_min != float(np.min(g)):
             raise ValueError("delta_min must equal the minimum gap")
+
+    def __reduce__(self):
+        return GapVector, (self.gaps, self.delta_min)
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,13 +206,15 @@ class Classification:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        lab = np.array(self.labels, dtype=np.int64, copy=True)
+        lab = _frozen(self.labels, np.int64)
         if lab.ndim != 1:
             raise ValueError("labels must be 1-d")
         if not np.all((lab == 1) | (lab == -1)):
             raise ValueError("labels must be +/-1")
-        lab.setflags(write=False)
         object.__setattr__(self, "labels", lab)
+
+    def __reduce__(self):
+        return Classification, (self.labels,)
 
     def __len__(self) -> int:
         return int(self.labels.size)
@@ -308,7 +340,11 @@ def _concave(means: np.ndarray, tol: float = 0.0) -> bool:
 
 
 def shape_check(problem: Problem, shape: ShapeClass) -> bool:
-    """Whether the mean sequence (sentinels included) belongs to ``shape``."""
+    """Whether the mean sequence (sentinels included) belongs to ``shape``; once per instance."""
+    return problem.derived(_in_shape, shape)
+
+
+def _in_shape(problem: Problem, shape: ShapeClass) -> bool:
     m = problem.means
     if shape is ShapeClass.UNSTRUCTURED:
         return True
@@ -436,8 +472,12 @@ def augment(problem: Problem, shape: ShapeClass) -> Problem:
     Monotone augmentation brackets the threshold with ``-inf`` and ``+inf``
     sentinels; concave augmentation adds ``-inf`` on both ends.  The original
     arm ``j`` sits at augmented index ``j + 1`` (see ``Problem.to_original`` /
-    ``Problem.to_augmented``).
+    ``Problem.to_augmented``).  Every call on one instance returns the same twin.
     """
+    return problem.derived(_augmented, shape)
+
+
+def _augmented(problem: Problem, shape: ShapeClass) -> Problem:
     if problem.sentinels is not None:
         raise ValueError("problem is already augmented")
     if shape is ShapeClass.MONOTONE:

@@ -95,6 +95,8 @@ class ExperimentConfig:
             Problem(self.custom_means, self.sigma, self.tau)  # refuses what build_instance would
         elif not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")
+        elif self.K < 3:  # a K sweep's K field too, as a delta sweep's delta field above
+            raise ValueError(f"K must be >= 3, got {self.K}")
         if self.sweep_param is not None:
             if self.sweep_param not in ("delta", "K"):
                 raise ValueError("sweep_param must be 'delta' or 'K'")

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from tbp import cli
 from tbp.algos import ALGORITHMS
-from tbp.cli import build_parser, dispatch
+from tbp.cli import MAX_GRID_POINTS, ConfigError, _parse_grid, build_parser, dispatch
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +226,11 @@ class TestDispatch:
          "--sweep", "delta", "--grid", "0.1:inf:0.1"],
         ["run", "--setting", "custom", "--means=0.1,abc", "--algo", "uniform", "--T", "30"],
         ["run", "--setting", "custom", "--means=0.1,nan", "--algo", "uniform", "--T", "30"],
+        # ~10^18 points: refused from its count, before a single value is built.
+        ["sweep", "--setting", "2", "--algo", "uniform", "--K", "3", "--T", "60",
+         "--sweep", "delta", "--grid", "0:1e9:1e-9"],
+        ["sweep", "--setting", "1", "--algo", "uniform", "--K", "2", "--T", "300",
+         "--delta", "0.3", "--sweep", "K", "--grid", "3,5", "--reps", "2"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")
@@ -267,3 +273,24 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "0,1,3,5,0"
+
+
+@pytest.fixture(autouse=True)
+def _grids_stay_small(monkeypatch):
+    """Fail at once, instead of exhausting memory, should a grid range larger than
+    ``MAX_GRID_POINTS`` ever reach the point where its values are built."""
+    def bounded_range(*args):
+        span = range(*args)
+        assert len(span) <= MAX_GRID_POINTS, f"a grid of {len(span)} values was built"
+        return span
+    monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+
+
+class TestGridBound:
+    def test_the_documented_count_is_the_limit(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        assert len(_parse_grid(",".join(["0.5"] * MAX_GRID_POINTS))) == MAX_GRID_POINTS
+        for spec in (f"0:{MAX_GRID_POINTS}:1", ",".join(["0.5"] * (MAX_GRID_POINTS + 1)),
+                     "0:1:1e-5", "0:1e9:1e-9", "0:1e308:1e-308"):
+            with pytest.raises(ConfigError, match=f"at most {MAX_GRID_POINTS} values"):
+                _parse_grid(spec)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -259,3 +260,47 @@ class TestTypes:
         p = P([1.0, 2.0])
         with pytest.raises(ValueError):
             p.means[0] = 5.0
+
+
+class TestArraysStayReadOnly:
+    """An instance's arrays view an immutable buffer: writes cannot be re-enabled."""
+
+    @staticmethod
+    def assert_sealed(array, value):
+        with pytest.raises(ValueError):
+            array.setflags(write=True)
+        with pytest.raises(ValueError):
+            array[0] = value
+        assert not array.flags.writeable
+
+    def test_problem_means(self):
+        source = np.array([1.0, 2.0, 3.0])
+        p = Problem(source, 1.0, 0.0)
+        self.assert_sealed(p.means, -5.0)
+        source[0] = -5.0  # the instance holds a copy
+        assert p.means.tolist() == [1.0, 2.0, 3.0]
+        self.assert_sealed(augment(p, ShapeClass.MONOTONE).means, -5.0)
+
+    def test_gap_vector_gaps(self):
+        g = gaps(P([-1.0, 0.5, 2.0]))
+        self.assert_sealed(g.gaps, 0.0)
+        assert g.gaps.tolist() == [1.0, 0.5, 2.0]
+
+    def test_classification_labels(self):
+        labels = true_labels(P([-1.0, 0.5, 2.0])).labels
+        self.assert_sealed(labels, 1)
+        assert labels.tolist() == [-1, 1, 1]
+        assert Classification(labels) == Classification([-1, 1, 1])
+
+    def test_a_copy_is_built_afresh(self):
+        p = P([-1.0, 0.5, 2.0])
+        augment(p, ShapeClass.MONOTONE)
+        q = pickle.loads(pickle.dumps(p))
+        assert q.means.tolist() == p.means.tolist() and (q.sigma, q.tau) == (p.sigma, p.tau)
+        self.assert_sealed(q.means, 0.0)
+        assert augment(q, ShapeClass.MONOTONE) is not augment(p, ShapeClass.MONOTONE)
+        g, labels = pickle.loads(pickle.dumps((gaps(p), true_labels(p))))
+        self.assert_sealed(g.gaps, 0.0)
+        self.assert_sealed(labels.labels, 1)
+        assert (g.gaps.tolist(), g.delta_min) == ([1.0, 0.5, 2.0], 0.5)
+        assert labels == true_labels(p)

@@ -64,6 +64,7 @@ class TestConfigValidation:
         dict(sweep_param="K", sweep_values=(3.7, 5)),
         dict(sweep_param="K", sweep_values=(3, float("inf"))),
         dict(setting=Setting.CUSTOM, custom_means=(0.1, float("nan")), K=2),
+        dict(K=2, sweep_param="K", sweep_values=(3, 5)),
     ])
     def test_rejects_values_no_instance_can_honour(self, overrides):
         with pytest.raises(ValueError):
