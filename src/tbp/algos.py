@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +28,7 @@ from .env import (
     augment,
     shape_check,
 )
-from .tree import Node, max_depth
+from .tree import Node, NodeViews, max_depth
 
 __all__ = [
     "Action",
@@ -92,64 +93,74 @@ class StepRecord:
     appended_arm: Optional[int] = None
 
 
+class _Slots(tuple):
+    """The names of a walk's estimate columns, one per slot of its node."""
+
+    @cached_property
+    def arm_index(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per slot, the column of the node's ``(l, m, r)`` its arm is in, and ``1`` for a
+        ``"+1"`` slot."""
+        return (np.array(["lmr".index(s[0]) for s in self], dtype=np.int64),
+                np.array([s.endswith("+1") for s in self], dtype=np.int64))
+
+
+#: The slots of explore, gradexplore and naive.
+_LMR, _MID = _Slots(("l", "m", "r")), _Slots(("m",))
+_GRAD_SLOTS = _Slots(("l", "l+1", "m", "m+1", "r", "r+1"))
+
 #: The ``Trajectory.action`` codes: indices into ``Action``.
 _ACTIONS = tuple(Action)
 _LEFT, _RIGHT, _PARENT, _STAY, _DUP = range(5)  # in Action's order
 
 
-def _view(cls, **fields):
-    """``cls(**fields)`` for a frozen dataclass, filled in place: without its per-field
-    ``object.__setattr__`` and checks, for the views of a walk's columns, which
-    are valid by construction."""
-    view = object.__new__(cls)
-    view.__dict__.update(fields)
-    return view
-
-
 class _Walk:
     """A node moving through the tree, recorded row by row for a :class:`Trajectory`.
 
-    The node is ``(l, r)`` at ``depth`` with ``dup`` duplicate copies above
-    it; ``stack`` holds the steps at which its ancestors were visited.  A
-    leaf's duplicate descent keeps ``(l, r)``; ``PARENT`` returns to the
-    node of the step on top of the stack, and the root stays put.
+    The node is the tuple ``(l, m, r, depth, dup, up)``: ``dup`` duplicate
+    copies above it, and ``up`` the step at which its parent was visited
+    (``-1`` at the root).  ``stack`` holds its ancestors' tuples.  A leaf's
+    duplicate descent keeps ``(l, m, r)``; ``PARENT`` returns to the node on
+    top of the stack, and the root stays put.
     """
 
     def __init__(self, K: int) -> None:
-        self.l, self.r, self.depth, self.dup = 1, K, 0, 0
-        self.stack: List[int] = []
-        self.nodes: List[int] = []  # 5 ints per node: l, r, depth, dup, parent step
-        self.moves: List[int] = []  # 3 ints per step: action, budget, appended arm
+        self.node = (1, (1 + K) // 2, K, 0, 0, -1)
+        self.stack: List[tuple] = []
+        self.rows: List[int] = []  # 9 ints per step: the node's 6, action, budget, appended arm
         self.estimates: List[float] = []
 
-    def _record_node(self) -> None:
-        self.nodes += (self.l, self.r, self.depth, self.dup, self.stack[-1] if self.stack else -1)
-
-    def step(self, action: int, spent: int, estimates, appended: int = 0) -> None:
-        """Record the current node and the move made from it, then make the move."""
-        t = len(self.moves) // 3
-        self._record_node()
-        self.moves += (action, spent, appended)
+    def step(self, action: int, spent: int, estimates, appended: int = 0) -> tuple:
+        """Record the current node and the move made from it, then make the move; returns
+        the new node."""
+        node, rows = self.node, self.rows
+        rows += node
+        rows += (action, spent, appended)
         self.estimates += estimates
         if action == _PARENT:
             if self.stack:
-                u = 5 * self.stack.pop()
-                self.l, self.r, self.depth, self.dup = self.nodes[u:u + 4]
+                self.node = self.stack.pop()
         elif action != _STAY:
-            self.stack.append(t)
-            self.depth += 1
-            if action == _DUP:
-                self.dup += 1
-            elif action == _RIGHT:
-                self.l = (self.l + self.r) // 2
+            self.stack.append(node)
+            l, m, r, depth, dup, _ = node
+            t = len(rows) // 9 - 1  # this step
+            if action == _RIGHT:
+                self.node = (m, (m + r) // 2, r, depth + 1, dup, t)
+            elif action == _LEFT:
+                self.node = (l, (l + m) // 2, m, depth + 1, dup, t)
             else:
-                self.r = (self.l + self.r) // 2
+                self.node = (l, m, r, depth + 1, dup + 1, t)
+        return self.node
 
-    def trajectory(self, slots: Tuple[str, ...], t1: int, t2: int) -> "Trajectory":
+    def trajectory(self, slots: _Slots, t1: int, t2: int, views: NodeViews) -> "Trajectory":
         """The recorded steps, with the current node as the final one."""
         traj = Trajectory.__new__(Trajectory)
-        traj._load(self, slots, t1, t2)
+        traj._load(self, slots, t1, t2, views)
         return traj
+
+
+def _node_views(problem: Problem) -> NodeViews:
+    """The views of the nodes of ``problem``'s tree, shared by every walk on it."""
+    return NodeViews(problem.K)
 
 
 class Trajectory:
@@ -163,8 +174,9 @@ class Trajectory:
     ``Action``), ``budget``, ``appended`` (``0`` for none) and the
     ``(t1, len(slots))`` array ``estimates`` is the move made at step ``t``;
     ``slots`` names the estimate columns, and ``t2`` is the walk's per-arm
-    draw count.  ``steps`` and ``final_node`` rebuild :class:`StepRecord`
-    and :class:`Node` views, ancestor paths included, on first access.
+    draw count.  ``steps`` builds :class:`StepRecord` views on first access.
+    Their nodes and ``final_node`` are :class:`Node` views, ancestor paths
+    included, shared by every walk on the instance.
 
     ``Trajectory(steps, t1, t2, final_node)`` replays the records' moves from
     the root into the same columns, and raises ``ValueError`` unless each
@@ -172,53 +184,59 @@ class Trajectory:
     """
 
     def __init__(self, steps: Sequence[StepRecord], t1: int, t2: int, final_node: Node) -> None:
-        nodes = [rec.node for rec in steps] + [final_node]
-        slots = tuple(steps[0].slot_means) if steps else ()
-        walk = _Walk(nodes[0].right)
+        slots = _Slots(steps[0].slot_means if steps else ())
+        K = (steps[0].node if steps else final_node).right
+        walk = _Walk(K)
         for rec in steps:
             walk.step(_ACTIONS.index(rec.action), rec.budget_spent,
                       [rec.slot_means[s] for s in slots], rec.appended_arm or 0)
-        self._load(walk, slots, t1, t2)
-        if self._node_views != nodes:
+        self._load(walk, slots, t1, t2, NodeViews(K))
+        if self._node_views != [rec.node for rec in steps] + [final_node]:
             raise ValueError("the recorded nodes do not follow the recorded moves")
 
-    def _load(self, walk: _Walk, slots: Tuple[str, ...], t1: int, t2: int) -> None:
-        walk._record_node()  # the final node
-        self.slots, self.t1, self.t2 = slots, t1, t2
-        self._nodes = np.array(walk.nodes, dtype=np.int64).reshape(-1, 5)
-        self.left, self.right, self.depth, self.dup_count, self.parent_step = self._nodes.T
-        self._moves = np.array(walk.moves, dtype=np.int64).reshape(-1, 3)
-        self.action, self.budget, self.appended = self._moves.T
-        estimates = np.array(walk.estimates, dtype=np.float64)
-        self.estimates = estimates.reshape(len(self._moves), len(slots))
+    def _load(self, walk: _Walk, slots: _Slots, t1: int, t2: int,
+              views: NodeViews) -> None:
+        walk.rows += walk.node  # the final node, with no move
+        walk.rows += (0, 0, 0)
+        # The walk's own lists stay too: the records read them as they are.
+        self._walk, self.slots, self.t1, self.t2, self._views = walk, slots, t1, t2, views
+        rows = np.fromiter(walk.rows, np.int64, len(walk.rows)).reshape(-1, 9)
+        self._nodes = rows[:, :6]  # l, m, r, depth, dup, parent step
+        self.left, self.right = rows[:, 0], rows[:, 2]
+        self.depth, self.dup_count, self.parent_step = rows[:, 3], rows[:, 4], rows[:, 5]
+        self.action, self.budget, self.appended = rows[:-1, 6:].T
+        estimates = np.fromiter(walk.estimates, np.float64, len(walk.estimates))
+        self.estimates = estimates.reshape(len(rows) - 1, len(slots))
 
     @property
     def slot_arms(self) -> np.ndarray:
-        """The ``(t1, len(slots))`` arms each estimate is of."""
-        L, R = self.left[:-1], self.right[:-1]
-        base = {"l": L, "m": (L + R) // 2, "r": R}
-        return np.array([base[s[0]] + s.endswith("+1") for s in self.slots],
-                        dtype=np.int64).reshape(len(self.slots), L.size).T
+        """The ``(t1, len(slots))`` arms each estimate is of: one gather from the nodes'
+        ``(l, m, r)``, plus one for a ``"+1"`` slot."""
+        column, offset = self.slots.arm_index
+        return self._nodes[:-1, column] + offset
 
     @cached_property
     def _node_views(self) -> List[Node]:
-        built: Dict[Tuple[int, int, int], Node] = {}  # a node is its (l, r, dup)
-        out: List[Node] = []
-        for l, r, depth, dup, up in self._nodes.tolist():
-            node = built.get((l, r, dup))
-            if node is None:
-                path = out[up].path + (out[up],) if up >= 0 else ()
-                node = built[(l, r, dup)] = _view(Node, left=l, mid=(l + r) // 2, right=r,
-                                                  depth=depth, dup_count=dup, path=path)
-            out.append(node)
-        return out
+        rows = self._walk.rows
+        return list(map(self._views.__getitem__, zip(rows[0::9], rows[2::9], rows[4::9])))
 
     @cached_property
     def steps(self) -> Tuple[StepRecord, ...]:
-        return tuple(_view(StepRecord, node=node, slot_means=dict(zip(self.slots, est)),
-                           action=_ACTIONS[act], budget_spent=spent, appended_arm=arm or None)
-                     for node, est, (act, spent, arm)
-                     in zip(self._node_views, self.estimates.tolist(), self._moves.tolist()))
+        # Views of the columns, valid by construction: each record's fields are
+        # filled in place, in field order, without the per-field checks.
+        rows, width = self._walk.rows, len(self.slots)
+        per_step = (zip(*[iter(self._walk.estimates)] * width) if width
+                    else repeat((), len(rows) // 9 - 1))
+        records = []
+        for node, slot_means, act, spent, arm in zip(
+                self._node_views, map(dict, map(zip, repeat(self.slots), per_step)),
+                rows[6::9], rows[7::9], rows[8::9]):
+            rec = object.__new__(StepRecord)
+            fields = rec.__dict__
+            fields["node"], fields["slot_means"], fields["action"] = node, slot_means, _ACTIONS[act]
+            fields["budget_spent"], fields["appended_arm"] = spent, arm or None
+            records.append(rec)
+        return tuple(records)
 
     @property
     def final_node(self) -> Node:
@@ -329,6 +347,18 @@ def _crossing_labels(work: Problem, k_hat_aug):
     return crossing, np.where(arms >= np.expand_dims(crossing, -1), 1, -1)
 
 
+def _crossing(work: Problem, r: int) -> Tuple[int, Classification]:
+    """:func:`_crossing_labels` of one walk's final ``r``, its labels one frozen object."""
+    k_hat, labels = _crossing_labels(work, r)
+    return k_hat, Classification(labels)
+
+
+def _float_means(problem: Problem) -> Tuple[float, ...]:
+    """The means as floats for the scalar walkers, then :func:`gradexplore`'s virtual arm
+    ``K + 1`` at ``-inf``."""
+    return (*problem.means.tolist(), -math.inf)
+
+
 def explore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -> AlgoResult:
     """Backtracking binary search for the point the means cross the threshold.
 
@@ -340,14 +370,14 @@ def explore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = Tru
     wins ties.  The final node's right index is the estimated crossing.
     """
     work = _as_monotone_walk_problem(problem, check_shape)
-    K, tau, mu = work.K, work.tau, work.means.tolist()
+    K, tau, mu = work.K, work.tau, work.derived(_float_means)
     t1, t2 = budget_split(K, T)
     scale = work.sigma / math.sqrt(t2)
     z, c = rng.read_ahead(3 * t1), 0
     walk = _Walk(K)
+    node = walk.node
     for _ in range(t1):
-        l, r = walk.l, walk.r
-        m = (l + r) // 2
+        l, m, r = node[0], node[1], node[2]
         c0 = c
         # Sentinels are exact and free: only l can be arm 1 and only r arm K.
         # At a leaf m == l, and the two slots share one estimate.
@@ -358,7 +388,7 @@ def explore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = Tru
             c += 1
         else:
             mm = ml
-        mr = mu[-1] if r == K else mu[r - 1] + scale * z[c]
+        mr = mu[r - 1] if r == K else mu[r - 1] + scale * z[c]
         c += r < K
         if not (ml <= tau <= mr):
             act = _PARENT
@@ -366,11 +396,11 @@ def explore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = Tru
             act = _RIGHT if m > l else _DUP
         else:
             act = _LEFT
-        walk.step(act, t2 * (c - c0), (ml, mm, mr))
-    rng.generator.standard_normal(c)  # consume exactly the variates read
-    k_hat, labels = _crossing_labels(work, walk.r)
-    traj = walk.trajectory(("l", "m", "r"), t1, t2)
-    return AlgoResult(k_hat, Classification(labels), t2 * c, traj, work)
+        node = walk.step(act, t2 * (c - c0), (ml, mm, mr))
+    rng.consume(c)  # exactly the variates read
+    k_hat, q_hat = work.derived(_crossing, node[2])
+    traj = walk.trajectory(_LMR, t1, t2, work.derived(_node_views))
+    return AlgoResult(k_hat, q_hat, t2 * c, traj, work)
 
 
 def dexplore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -> AlgoResult:
@@ -382,12 +412,21 @@ def dexplore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = Tr
     """
     if problem.sentinels is not None:
         raise ValueError("dexplore expects an un-augmented problem")
-    reversed_problem = Problem(problem.means[::-1], problem.sigma, problem.tau)
-    res = explore(reversed_problem, T, rng, check_shape=check_shape)
-    K = problem.K
-    last_above = K + 1 - res.k_hat
-    q_hat = Classification(res.q_hat.labels[::-1])
+    res = explore(problem.derived(_reversed), T, rng, check_shape=check_shape)
+    last_above, q_hat = res.problem.derived(_reversed_crossing, res.k_hat)
     return AlgoResult(last_above, q_hat, res.total_budget, res.trajectory, res.problem)
+
+
+def _reversed(problem: Problem) -> Problem:
+    """The instance with its arms in reverse order."""
+    return Problem(problem.means[::-1], problem.sigma, problem.tau)
+
+
+def _reversed_crossing(work: Problem, k_hat: int) -> Tuple[int, Classification]:
+    """:func:`dexplore`'s ``k_hat`` and labels from the crossing ``k_hat`` that
+    :func:`explore` found on ``work``, the reversed instance's augmented twin."""
+    labels = work.derived(_crossing, k_hat + 1)[1].labels
+    return work.n_original + 1 - k_hat, Classification(labels[::-1])
 
 
 def _slope(lo: float, hi: float) -> float:
@@ -416,17 +455,16 @@ def gradexplore(
         problem = augment(problem, ShapeClass.CONCAVE)
     if check_shape and not shape_check(problem, ShapeClass.CONCAVE):
         raise ShapeError("means are not concave")
-    K, tau = problem.K, problem.tau
-    mu = problem.means.tolist() + [-math.inf]  # arm K + 1 is the virtual one
+    K, tau, mu = problem.K, problem.tau, problem.derived(_float_means)
     t1, t2 = _grad_split(K, budget)
     n = max(1, t2 // 12)
     scale = problem.sigma / math.sqrt(n)
     z, c = rng.read_ahead(6 * t1), 0
     walk = _Walk(K)
+    node = walk.node
     appended: List[int] = []
     for _ in range(t1):
-        l, r = walk.l, walk.r
-        m = (l + r) // 2
+        l, m, r = node[0], node[1], node[2]
         c0 = c
         # The distinct arms of the slots l, l+1, m, m+1, r, r+1 ascend in slot
         # order and draw in that order; a repeated arm shares the estimate of
@@ -456,18 +494,21 @@ def gradexplore(
         hit = l if e_l > tau else m if e_m > tau else r if e_r > tau else 0
         if hit:
             appended.append(hit)
-            walk.step(_STAY, n * (c - c0), est, hit)
+            node = walk.step(_STAY, n * (c - c0), est, hit)
             continue
-        if not (_slope(e_l, e_l1) > 0 and _slope(e_r, e_r1) < 0):
+        # The signs of _slope: two -inf arms give NaN, which compares false, where
+        # _slope gives -inf, so "negative" reads "not >= 0".
+        if not (e_l1 - e_l > 0 and not e_r1 - e_r >= 0):
             act = _PARENT
-        elif _slope(e_m, e_m1) >= 0:
+        elif e_m1 - e_m >= 0:
             act = _RIGHT if m > l else _DUP
         else:
             act = _LEFT
-        walk.step(act, n * (c - c0), est)
-    rng.generator.standard_normal(c)  # consume exactly the variates read
+        node = walk.step(act, n * (c - c0), est)
+    rng.consume(c)  # exactly the variates read
     state = GradState(tuple(appended), sum(1 for arm in appended if mu[arm - 1] > tau))
-    return state, walk.trajectory(("l", "l+1", "m", "m+1", "r", "r+1"), t1, t2), n * c
+    traj = walk.trajectory(_GRAD_SLOTS, t1, t2, problem.derived(_node_views))
+    return state, traj, n * c
 
 
 def _lower_median(values: Tuple[int, ...]) -> int:
@@ -495,24 +536,30 @@ def ctb(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -
     ``k`` is labeled above iff ``l <= k <= r`` for the two crossings found.
     """
     ctb_check(problem, T, check_shape=check_shape)
-    K = problem.K
     b = T // 3
     state, traj, spent = gradexplore(problem, b, rng, check_shape=False)
-    if 4 * len(state.arms) <= traj.t1:
-        q_hat = Classification(np.full(K, -1, dtype=np.int64))
+    if 4 * len(state.arms) <= traj.t1:  # every arm below: l = K + 1 > r = 0
+        q_hat = problem.derived(_band, problem.K + 1, 0)
         return AlgoResult(None, q_hat, spent, traj, augment(problem, ShapeClass.CONCAVE))
-    k_aug = _lower_median(state.arms)
-    k_hat = k_aug - 1  # appended arms are never sentinels
-    left = Problem(problem.means[:k_hat], problem.sigma, problem.tau)
-    right = Problem(problem.means[k_hat - 1 :], problem.sigma, problem.tau)
+    k_hat = _lower_median(state.arms) - 1  # appended arms are never sentinels
+    left, right = problem.derived(_segments, k_hat)
     res_l = explore(left, b, rng, check_shape=False)
     res_r = dexplore(right, b, rng, check_shape=False)
-    l = res_l.k_hat
-    r = k_hat - 1 + res_r.k_hat
-    arms = np.arange(1, K + 1)
-    q_hat = Classification(np.where((arms >= l) & (arms <= r), 1, -1))
+    q_hat = problem.derived(_band, res_l.k_hat, k_hat - 1 + res_r.k_hat)
     total = spent + res_l.total_budget + res_r.total_budget
     return AlgoResult(k_hat, q_hat, total, traj, augment(problem, ShapeClass.CONCAVE))
+
+
+def _segments(problem: Problem, k_hat: int) -> Tuple[Problem, Problem]:
+    """:func:`ctb`'s increasing segment ``[1, k_hat]`` and decreasing segment ``[k_hat, K]``."""
+    return (Problem(problem.means[:k_hat], problem.sigma, problem.tau),
+            Problem(problem.means[k_hat - 1:], problem.sigma, problem.tau))
+
+
+def _band(problem: Problem, l: int, r: int) -> Classification:
+    """Arm ``k`` labeled above iff ``l <= k <= r``."""
+    arms = np.arange(1, problem.K + 1)
+    return Classification(np.where((arms >= l) & (arms <= r), 1, -1))
 
 
 def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -> AlgoResult:
@@ -524,22 +571,23 @@ def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True)
     duplicate chain.
     """
     work = _as_monotone_walk_problem(problem, check_shape)
-    K, tau, mu = work.K, work.tau, work.means.tolist()
+    K, tau, mu = work.K, work.tau, work.derived(_float_means)
     H, n = _naive_split(K, T)
     scale = work.sigma / math.sqrt(n)
     z, c = rng.read_ahead(H), 0
     walk = _Walk(K)
+    node = walk.node
     for _ in range(H):
-        l, r = walk.l, walk.r
-        m = (l + r) // 2
+        l, m = node[0], node[1]
         est = mu[0] if m == 1 else mu[m - 1] + scale * z[c]  # arm 1, the low sentinel, is free
         drew = m > 1
         c += drew
         act = _DUP if m == l else _RIGHT if est <= tau else _LEFT
-        walk.step(act, n * drew, (est,))
-    rng.generator.standard_normal(c)  # consume exactly the variates read
-    k_hat, labels = _crossing_labels(work, walk.r)
-    return AlgoResult(k_hat, Classification(labels), n * c, walk.trajectory(("m",), H, n), work)
+        node = walk.step(act, n * drew, (est,))
+    rng.consume(c)  # exactly the variates read
+    k_hat, q_hat = work.derived(_crossing, node[2])
+    traj = walk.trajectory(_MID, H, n, work.derived(_node_views))
+    return AlgoResult(k_hat, q_hat, n * c, traj, work)
 
 
 def uniform(problem: Problem, T: int, rng: RngStream) -> AlgoResult:

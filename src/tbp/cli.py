@@ -340,7 +340,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     # checks, the same as run's and sweep's, do not depend on the algorithm.
     config = _experiment_config(args, harness.ALGORITHMS)
     problem = harness.build_instance(config, config.K, config.delta)
-    trajectory = algos.ALGORITHMS[args.algo].trace(problem, args.T, RngStream(args.seed, args.rep))
+    try:
+        rng = RngStream(config.base_seed, args.rep)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    trajectory = algos.ALGORITHMS[args.algo].trace(problem, args.T, rng)
     header = (f"# setting={config.setting.value} algo={args.algo} K={config.K} T={args.T} "
               f"delta={config.delta} sigma={args.sigma} tau={args.tau} "
               f"seed={args.seed} rep={args.rep}")

@@ -23,8 +23,9 @@ __all__ = ["distance_series", "favorable_series"]
 
 
 def _lemma_target(problem: Problem, mode: ShapeClass) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Masks ``starts`` and ``ends`` over the arms, such that node ``(l, r)`` is on the
-    way to the target iff ``starts[l - 1] & ends[r - 1]``, and the target's depth."""
+    """Masks ``starts`` and ``ends`` indexed by arm (entry ``0`` unused), such that node
+    ``(l, r)`` is on the way to the target iff ``starts[l] & ends[r]``, and the target's
+    depth."""
     means, tau = problem.means, problem.tau
     monotone, above = mode is ShapeClass.MONOTONE, means > tau
     if monotone:
@@ -54,7 +55,7 @@ def _lemma_target(problem: Problem, mode: ShapeClass) -> Tuple[np.ndarray, np.nd
     # Every walk starts at the root: off the way, it would have no ancestor on the way.
     if not (starts[0] and ends[-1]):
         raise RuntimeError("the root is not on the way to the target")
-    return starts, ends, target
+    return np.r_[False, starts], np.r_[False, ends], target
 
 
 def distance_series(trajectory: Trajectory, problem: Problem, mode: ShapeClass) -> np.ndarray:
@@ -70,7 +71,7 @@ def distance_series(trajectory: Trajectory, problem: Problem, mode: ShapeClass) 
     one pass over ``trajectory.parent_step`` finds for every node.
     """
     starts, ends, target = problem.derived(_lemma_target, mode)
-    hits = (starts[trajectory.left - 1] & ends[trajectory.right - 1]).tolist()
+    hits = (starts[trajectory.left] & ends[trajectory.right]).tolist()
     deepest: List[int] = []  # depth of each node's deepest ancestor-or-self on the way
     for hit, d, up in zip(hits, trajectory.depth.tolist(), trajectory.parent_step.tolist()):
         deepest.append(d if hit else deepest[up])

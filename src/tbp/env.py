@@ -225,6 +225,19 @@ class Classification:
         return NotImplemented
 
 
+def _whole(value: Any, what: str, bits: Optional[int] = None) -> int:
+    """``value`` as an ``int``; raises ``ValueError`` unless it is a nonnegative whole
+    number, below ``2**bits`` when ``bits`` is given."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < 0 or (bits is not None and whole >> bits):
+        below = "" if bits is None else f" below 2**{bits}"
+        raise ValueError(f"{what} must be a nonnegative integer{below}, got {value!r}")
+    return whole
+
+
 @dataclass(eq=False)
 class RngStream:
     """A reproducible random stream identified by ``(seed, stream_index)``.
@@ -232,42 +245,58 @@ class RngStream:
     Two streams built from the same pair yield bit-identical draw sequences;
     distinct ``stream_index`` values give statistically independent streams
     (PCG64 seeded through ``SeedSequence(seed, spawn_key=(stream_index,))``).
-    Streams are stateful and must not be shared between concurrent consumers.
+    ``seed`` must be a whole number in ``[0, 2**64)`` and ``stream_index`` a
+    nonnegative one; anything else raises ``ValueError``.  Streams are
+    stateful and must not be shared between concurrent consumers.
     """
 
     seed: int
     stream_index: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if int(self.stream_index) < 0:
-            raise ValueError("stream_index must be nonnegative")
-        self.seed = int(self.seed)
-        self.stream_index = int(self.stream_index)
+        self.seed = _whole(self.seed, "seed", 64)
+        self.stream_index = _whole(self.stream_index, "stream_index")
         self._generator: Optional[np.random.Generator] = None
+        self._ahead: Optional[tuple] = None  # (generator, state before a read-ahead, variates used)
 
     @property
     def generator(self) -> np.random.Generator:
+        """The stream's generator, past every variate drawn or consumed so far."""
         if self._generator is None:
-            ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
-            self._generator = np.random.Generator(np.random.PCG64(ss))
+            if self._ahead is None:
+                ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
+                self._generator = np.random.Generator(np.random.PCG64(ss))
+            else:  # settle the last read-ahead: rewind, then redraw what was consumed
+                gen, state, used = self._ahead
+                self._ahead = None
+                gen.bit_generator.state = state
+                gen.standard_normal(used)
+                self._generator = gen
         return self._generator
 
     def read_ahead(self, n: int) -> List[float]:
-        """The stream's next ``n`` standard normals, leaving the stream where it was.
+        """The stream's next ``n`` standard normals, none of them consumed yet.
 
-        A caller that uses the first ``c`` of them then consumes exactly those
-        with ``generator.standard_normal(c)``.  ``standard_normal(n)`` yields
-        the same values as ``n`` scalar draws, so the stream moves on as if
-        each variate had been drawn alone, and a later consumer of the same
-        stream sees the sequence it always did.
+        A caller that uses the first ``c`` of them says so with
+        :meth:`consume`.  The stream is settled only when it is read again:
+        the next use of :attr:`generator` rewinds it and redraws the ``c``
+        consumed variates.  ``standard_normal(n)`` yields the same values as
+        ``n`` scalar draws, so the stream moves on as if each variate had been
+        drawn alone, a later consumer sees the sequence it always did, and a
+        stream that is never read again pays for no rewind.
         """
         gen = self.generator
-        state = gen.bit_generator.state
-        z = gen.standard_normal(n).tolist()
-        gen.bit_generator.state = state
-        return z
+        self._generator, self._ahead = None, (gen, gen.bit_generator.state, 0)
+        return gen.standard_normal(n).tolist()
+
+    def consume(self, c: int) -> None:
+        """Move the stream past its next ``c`` standard normals: after :meth:`read_ahead`,
+        the first ``c`` it returned."""
+        if self._ahead is None:
+            self.generator.standard_normal(c)
+        else:
+            gen, state, used = self._ahead
+            self._ahead = (gen, state, used + c)
 
 
 class VariateBlock:
@@ -285,11 +314,12 @@ class VariateBlock:
     """
 
     def __init__(self, seed: int, start: int, stop: int) -> None:
-        if not 0 <= start < stop:
+        self.seed, self.start = _whole(seed, "seed", 64), _whole(start, "start")
+        self.stop = _whole(stop, "stop")
+        if not self.start < self.stop:
             raise ValueError("need 0 <= start < stop")
-        self.seed, self.start, self.stop = int(seed), int(start), int(stop)
         self._generators: Optional[list] = None
-        self._block = np.empty((stop - start, 0))
+        self._block = np.empty((self.stop - self.start, 0))
 
     @property
     def reps(self) -> int:

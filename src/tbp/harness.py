@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algos
-from .env import Problem, Setting, VariateBlock, check_setting, gaps, make_setting, true_labels
+from .env import (Problem, RngStream, Setting, VariateBlock, check_setting, gaps, make_setting,
+                  true_labels)
 
 __all__ = [
     "ALGORITHMS",
@@ -82,6 +83,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {name!r}")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        # A run's streams refuse a seed that is not a whole number in [0, 2**64).
+        object.__setattr__(self, "base_seed", RngStream(self.base_seed).seed)
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):

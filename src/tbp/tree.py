@@ -71,6 +71,37 @@ def parent(node: Node) -> Node:
     return node.path[-1]
 
 
+class NodeViews(dict):
+    """The :class:`Node` of each ``(left, right, dup_count)`` of the tree over ``K`` arms.
+
+    Those three fix a node, its depth and its ancestor path, so one view per
+    triple serves every walk over the tree.  ``views[left, right, dup_count]``
+    builds it on first use, through :func:`children` of its parent.
+    """
+
+    def __init__(self, K: int) -> None:
+        super().__init__()
+        self.K = K
+
+    def __missing__(self, key: Tuple[int, int, int]) -> Node:
+        node = self[key] = self._build(*key)
+        return node
+
+    def _build(self, left: int, right: int, dup_count: int) -> Node:
+        if dup_count:
+            return children(self[left, right, dup_count - 1])[1]
+        l, r = 1, self.K
+        if (left, right) == (l, r):
+            return root(self.K)
+        while r > l + 1:  # descend from the root to the parent of (left, right)
+            m = (l + r) // 2
+            if (left, right) in ((l, m), (m, r)):
+                lo, hi = children(self[l, r, 0])
+                return lo if left == l else hi
+            l, r = (l, m) if right <= m else (m, r)
+        raise ValueError(f"({left}, {right}) is not a node of the tree over {self.K} arms")
+
+
 def max_depth(K: int) -> int:
     """Depth bound ``floor(log2(K)) + 1`` for the original (unextended) tree."""
     if K < 3:

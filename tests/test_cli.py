@@ -231,6 +231,13 @@ class TestDispatch:
          "--sweep", "delta", "--grid", "0:1e9:1e-9"],
         ["sweep", "--setting", "1", "--algo", "uniform", "--K", "2", "--T", "300",
          "--delta", "0.3", "--sweep", "K", "--grid", "3,5", "--reps", "2"],
+        # Seeds and replication indices no stream can take.
+        ["run", "--setting", "1", "--algo", "explore", "--K", "20", "--T", "400",
+         "--delta", "0.4", "--reps", "3", "--seed", "-1"],
+        ["run", "--setting", "1", "--algo", "explore", "--K", "20", "--T", "400",
+         "--delta", "0.4", "--reps", "3", "--seed", "18446744073709551616"],
+        ["trace", "--setting", "1", "--algo", "explore", "--K", "20", "--T", "400",
+         "--delta", "0.4", "--rep", "-1"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")

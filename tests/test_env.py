@@ -20,7 +20,7 @@ from tbp import (
     shape_check,
     true_labels,
 )
-from tbp.env import GAP_RTOL
+from tbp.env import GAP_RTOL, VariateBlock
 
 
 def P(means, sigma=1.0, tau=0.0, **kw):
@@ -304,3 +304,82 @@ class TestArraysStayReadOnly:
         self.assert_sealed(labels.labels, 1)
         assert (g.gaps.tolist(), g.delta_min) == ([1.0, 0.5, 2.0], 0.5)
         assert labels == true_labels(p)
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("seed,index", [
+        (1.7, 2.9), (2.5, 0), (0, 2.5), (-1, 0), (2**64, 0), (0, -1),
+        (float("nan"), 0), (float("inf"), 0), ("3", 0), (None, 0),
+    ])
+    def test_a_key_no_stream_can_take_is_refused(self, seed, index):
+        with pytest.raises(ValueError, match="must be a nonnegative integer"):
+            RngStream(seed, index)
+
+    def test_whole_numbers_of_any_type_name_the_same_stream(self):
+        for seed, index in ((3.0, 2.0), (np.int64(3), np.uint8(2)), (np.float64(3.0), 2)):
+            stream = RngStream(seed, index)
+            assert (stream.seed, stream.stream_index) == (3, 2)
+            assert type(stream.seed) is int and type(stream.stream_index) is int
+            assert stream.generator.standard_normal() == RngStream(3, 2).generator.standard_normal()
+        assert RngStream(2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed,start,stop", [
+        (2.5, 0, 3), (-1, 0, 3), (2**64, 0, 3), (1, 0.5, 3), (1, -1, 3), (1, 0, 3.5), (1, 3, 3),
+    ])
+    def test_a_block_no_stream_can_fill_is_refused(self, seed, start, stop):
+        with pytest.raises(ValueError):
+            VariateBlock(seed, start, stop)
+
+
+class TestReadAhead:
+    """``read_ahead(n)`` shows the next ``n`` variates and consumes none; ``consume(c)``
+    moves the stream past ``c`` of them, settled only when the stream is read again."""
+
+    @staticmethod
+    def drawn(stream, n):
+        return stream.generator.standard_normal(n).tolist()
+
+    @pytest.mark.parametrize("used", [0, 1, 7, 12])
+    def test_a_later_reader_sees_what_a_scalar_reader_would(self, used):
+        stream = RngStream(5, 1)
+        ahead = stream.read_ahead(12)
+        assert ahead == self.drawn(RngStream(5, 1), 12)
+        stream.consume(used)
+        scalar = RngStream(5, 1)
+        for _ in range(used):
+            scalar.generator.standard_normal()
+        assert self.drawn(stream, 4) == self.drawn(scalar, 4)
+
+    def test_read_aheads_chain_as_one_stream(self):
+        stream, whole = RngStream(8, 3), self.drawn(RngStream(8, 3), 30)
+        assert stream.read_ahead(10) == whole[:10]
+        stream.consume(4)
+        stream.consume(2)  # consumes add up
+        assert stream.read_ahead(10) == whole[6:16]
+        stream.consume(3)
+        assert self.drawn(stream, 5) == whole[9:14]
+        stream.consume(5)  # with no read-ahead pending, consume draws
+        assert self.drawn(stream, 2) == whole[19:21]
+
+    def test_without_consume_the_stream_does_not_move(self):
+        stream = RngStream(9)
+        first = stream.read_ahead(6)
+        assert stream.read_ahead(6) == first
+        assert self.drawn(stream, 6) == first
+
+    def test_a_walk_settles_its_stream_only_when_it_is_read_again(self):
+        stream = RngStream(11, 4)
+        ahead = stream.read_ahead(50)
+        stream.consume(20)
+        gen = stream._ahead[0]
+        # Unsettled: the generator stands past all 50 variates it drew ahead.
+        assert gen.bit_generator.state == self.past(50)
+        assert stream.generator is gen  # settled on this read
+        assert gen.bit_generator.state == self.past(20)
+        assert self.drawn(stream, 3) == ahead[20:23]
+
+    @staticmethod
+    def past(n):
+        gen = RngStream(11, 4).generator
+        gen.standard_normal(n)
+        return gen.bit_generator.state

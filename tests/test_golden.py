@@ -13,8 +13,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from tbp import (Problem, RngStream, Setting, ShapeClass, augment, dexplore, distance_series,
-                 explore, favorable_series, gradexplore, make_setting, naive)
+from tbp import (Problem, RngStream, Setting, ShapeClass, augment, ctb, dexplore,
+                 distance_series, explore, favorable_series, gradexplore, make_setting, naive)
 from tbp.cli import dispatch
 
 CSV_CASES = {
@@ -168,3 +168,42 @@ def _lemma_digest():
 
 def test_lemma_outputs():
     assert _lemma_digest() == "c15d834fe73d7d8b3ad2bf46860837da699c1fbce34f5a2cef1f2f32ec05b5ec"
+
+
+def _large_budget_digest():
+    """sha256 of 200 walks each of ``explore``, ``naive``, ``dexplore`` and ``ctb`` at ``T = 1e5``.
+
+    Each walk contributes its ``k_hat``, labels and budget, every column of
+    its trajectory (with ``favorable_series`` for ``explore``, as c10 reads
+    it), and the next variate of its stream, which pins where the walk left it.
+    """
+    h = hashlib.sha256()
+    s1 = make_setting(Setting.S1, 100, 0.2, 0.0, 1.0)
+    s1_down = Problem(s1.means[::-1], 1.0, 0.0)
+    tent = make_setting(Setting.S2_CONCAVE, 61, 0.2, 0.0, 1.0)
+    walks = (
+        (lambda rng: explore(s1, 100_000, rng), 1020, True),
+        (lambda rng: naive(s1, 100_000, rng), 1021, False),
+        (lambda rng: dexplore(s1_down, 100_000, rng), 1022, False),
+        (lambda rng: ctb(tent, 100_000, rng), 1023, False),
+    )
+    for walk, seed, xi in walks:
+        for rep in range(200):
+            rng = RngStream(seed, rep)
+            res = walk(rng)
+            traj = res.trajectory
+            h.update(repr((res.k_hat, res.total_budget, traj.slots, traj.t1, traj.t2)).encode()
+                     + res.q_hat.labels.astype("<i8").tobytes())
+            for name in ("left", "right", "depth", "dup_count", "parent_step", "action",
+                         "budget", "appended"):
+                h.update(getattr(traj, name).astype("<i8").tobytes())
+            h.update(traj.estimates.astype("<f8").tobytes())
+            if xi:
+                h.update(favorable_series(traj, res.problem).tobytes())
+            h.update(np.float64(rng.generator.standard_normal()).tobytes())
+    return h.hexdigest()
+
+
+def test_large_budget_walks():
+    expected = "b4a9fd7bfd4f3d03fee4c15888e1ab78bca39de9bf79b13f6b3b7c2667329869"
+    assert _large_budget_digest() == expected

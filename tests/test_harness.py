@@ -266,3 +266,17 @@ class TestCalibration:
         (row,) = run_experiment(c)
         target = NormalDist().cdf(-2)
         assert row.estimate.rate == pytest.approx(target, abs=0.008)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, 2**64, float("nan"), "3"])
+def test_a_seed_no_stream_can_take_is_refused(seed):
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        cfg(base_seed=seed)
+
+
+def test_a_whole_float_seed_is_the_integer_seed():
+    config = cfg(base_seed=2.0, reps=3)
+    assert config.base_seed == 2 and type(config.base_seed) is int
+    rows = run_experiment(config)
+    assert rows == run_experiment(cfg(base_seed=2, reps=3))
+    assert [str(row.seed) for row in rows] == ["2"]  # the CSV's seed column

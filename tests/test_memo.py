@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from tbp import (Problem, RngStream, Setting, ShapeClass, ShapeError, StepRecord, Trajectory,
-                 augment, budget_split, diagnostics, distance_series, env, explore,
-                 favorable_series, gradexplore, make_setting, shape_check)
+from tbp import (BudgetError, Problem, RngStream, Setting, ShapeClass, ShapeError, StepRecord,
+                 Trajectory, algos, augment, budget_split, ctb, dexplore, diagnostics,
+                 distance_series, env, explore, favorable_series, gradexplore, make_setting, naive,
+                 shape_check)
 from test_lockstep import concave_instances, instances
 from test_trajectory import assert_same_walk, bits, lineage, outcome
 
@@ -168,3 +169,79 @@ def test_memoized_instance_equals_fresh_and_oracle(problem, algo, scale, slack, 
     else:
         *_, walk = oracle.gradexplore(problem, T, RngStream(seed, rep))
         assert_same_walk(traj, walk, ran_on, ShapeClass.CONCAVE)
+
+
+def test_dexplore_and_ctb_reuse_their_instances(monkeypatch):
+    augmenting = count_calls(monkeypatch, env, "_augmented")
+    down = Problem(make_setting(Setting.S1, 100, 0.2, 0.0, 1.0).means[::-1], 1.0, 0.0)
+    walks = [dexplore(down, 1000, RngStream(4, rep)) for rep in range(5)]
+    assert len(augmenting) == 1  # one reversed twin, augmented once
+    assert len({id(res.problem) for res in walks}) == 1
+    shared = {}
+    for res in walks:  # one labels object per crossing, through the reversed twin
+        assert res.q_hat is shared.setdefault(res.k_hat, res.q_hat)
+    segments = count_calls(monkeypatch, algos, "_segments")
+    tent = make_setting(Setting.S2_CONCAVE, 41, 0.3, 0.0, 1.0)
+    del augmenting[:]
+    k_hats = set()
+    for rep in range(5):
+        res = ctb(tent, 30000, RngStream(5, rep))
+        fresh = ctb(Problem(tent.means, 1.0, 0.0), 30000, RngStream(5, rep))
+        assert (res.k_hat, res.q_hat.labels.tolist(), res.total_budget) == \
+            (fresh.k_hat, fresh.q_hat.labels.tolist(), fresh.total_budget)
+        k_hats.add(res.k_hat)
+    assert None not in k_hats
+    # Each of the 5 fresh copies augments for its slope walk and both segments.
+    # The tent does that once, and once per distinct k_hat for the segments.
+    assert len(augmenting) == 5 * 3 + 1 + 2 * len(k_hats)
+    assert len(segments) == 5 + len(k_hats)
+
+
+def test_crossing_labels_are_built_once_per_crossing(monkeypatch):
+    building = count_calls(monkeypatch, algos, "_crossing_labels")
+    s2 = make_setting(Setting.S2, 60, 0.3, 0.0, 1.0)  # small gaps: the crossings vary
+    walks = [explore(s2, 400, RngStream(6, rep)) for rep in range(200)]
+    walks += [naive(s2, 400, RngStream(7, rep)) for rep in range(200)]
+    shared = {}
+    for res in walks:
+        assert res.q_hat is shared.setdefault(res.k_hat, res.q_hat)  # one object per crossing
+        assert np.array_equal(res.q_hat.labels, np.where(np.arange(1, 61) >= res.k_hat, 1, -1))
+        assert not res.q_hat.labels.flags.writeable
+    assert len(shared) > 1 and len(building) == len(shared)
+
+
+def test_walks_on_one_instance_share_node_views():
+    s1 = make_setting(Setting.S1, 100, 0.2, 0.0, 1.0)
+    trajs = [explore(s1, 1000, RngStream(8, rep)).trajectory for rep in range(2)]
+    trajs += [naive(s1, 1000, RngStream(9, rep)).trajectory for rep in range(2)]
+    views, seen = {}, 0
+    for traj in trajs:
+        for node in [rec.node for rec in traj.steps] + [traj.final_node]:
+            assert views.setdefault((node.left, node.right, node.dup_count), node) is node
+            seen += 1
+    assert len(views) < seen  # the walks met, at the root at least
+    root = views[1, 102, 0]
+    assert root.depth == 0 and root.path == ()
+    for (l, r, dup), node in views.items():
+        assert node.path == (node.path[-1].path + (node.path[-1],) if node.path else ())
+        assert (node.triple, node.dup_count, node.depth) == ((l, (l + r) // 2, r), dup,
+                                                              len(node.path))
+
+
+def test_a_refused_walk_raises_on_every_call():
+    bent = Problem([0.5, -0.1, 0.2], 1.0, 0.0)
+    tent = make_setting(Setting.S2_CONCAVE, 21, 0.3, 0.0, 1.0)
+    cases = [
+        (explore, bent, 300, ShapeError),
+        (naive, bent, 300, ShapeError),
+        (dexplore, Problem([-0.5, 0.1, 0.2], 1.0, 0.0), 300, ShapeError),
+        (dexplore, augment(tent, ShapeClass.MONOTONE), 3000, ValueError),
+        (explore, make_setting(Setting.S1, 100, 0.2, 0.0, 1.0), 10, BudgetError),
+        (gradexplore, tent, 10, BudgetError),
+        (ctb, Problem([0.0, -1.0, 1.0], 1.0, 0.0), 30000, ShapeError),
+        (ctb, tent, 30, BudgetError),
+    ]
+    for walker, problem, T, error in cases:
+        for _ in range(3):
+            with pytest.raises(error):
+                walker(problem, T, RngStream(0))

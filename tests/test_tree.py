@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tbp.tree import Node, children, dump_lines, is_leaf, iter_preorder, max_depth, parent, root
+from tbp.tree import (Node, NodeViews, children, dump_lines, is_leaf, iter_preorder, max_depth,
+                      parent, root)
 
 
 class TestRoot:
@@ -109,3 +110,33 @@ def test_random_walk_stays_well_formed(K, moves):
         assert v.depth == len(v.path)
         if v.dup_count > 0:
             assert is_leaf(v)
+
+
+def lineage(node):
+    return [(n.triple, n.depth, n.dup_count) for n in node.path + (node,)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(3, 300), moves=st.lists(st.sampled_from(["L", "R", "P"]), max_size=40))
+def test_node_views_equal_the_nodes_a_walk_builds(K, moves):
+    views, v = NodeViews(K), root(K)
+    for move in moves:
+        if move == "P":
+            v = parent(v)
+        else:
+            left, right = children(v)
+            v = right if move == "R" or left is None else left
+        view = views[v.left, v.right, v.dup_count]
+        assert view == v and lineage(view) == lineage(v)
+        assert view is views[v.left, v.right, v.dup_count]  # built once
+        for ancestor in view.path:  # and its ancestors are the table's own views
+            assert ancestor is views[ancestor.left, ancestor.right, ancestor.dup_count]
+
+
+def test_node_views_refuse_what_is_not_a_node():
+    views = NodeViews(9)
+    for key in [(2, 9, 0), (1, 4, 0), (3, 6, 0)]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a node"):
+                views[key]
+        assert key not in views
