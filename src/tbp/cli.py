@@ -43,6 +43,10 @@ _SHAPES = {
 #: Most values a ``--grid`` may hold.  A range's point count is checked before
 #: any value is built, so ``--grid 0:1e9:1e-9`` is refused at once.
 MAX_GRID_POINTS = 10_000
+#: Most arms, and most outcomes (reps x grid points x algorithms) a run may keep, both
+#: refused before any array is built: a task's variates are then at most 1,024 rows of
+#: 2 * MAX_K floats (160 MB), and a run's outcomes, a flag and a regret each, 90 MB.
+MAX_K, MAX_OUTCOMES = 10_000, 10**7
 
 
 class ConfigError(ValueError):
@@ -222,6 +226,12 @@ def _experiment_config(args: argparse.Namespace, algo_names: Sequence[str],
                 raise ConfigError("--K is required for non-custom settings")
             if delta is None:
                 raise ConfigError("--delta is required for non-custom settings")
+        reps = getattr(args, "reps", 1)
+        if max((K, *sweep_values) if sweep_param == "K" else (K,)) > MAX_K:
+            raise ConfigError(f"an instance has at most {MAX_K} arms")
+        if reps * len(sweep_values or (0,)) * len(algo_names) > MAX_OUTCOMES:
+            raise ConfigError(f"a run keeps at most {MAX_OUTCOMES} outcomes "
+                              "(reps x grid points x algorithms)")
         return harness.ExperimentConfig(
             setting=setting,
             algos=tuple(algo_names),
@@ -230,7 +240,7 @@ def _experiment_config(args: argparse.Namespace, algo_names: Sequence[str],
             delta=delta,
             sigma=args.sigma,
             tau=args.tau,
-            reps=getattr(args, "reps", 1),
+            reps=reps,
             base_seed=args.seed,
             sweep_param=sweep_param,
             sweep_values=sweep_values,

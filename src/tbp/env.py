@@ -36,6 +36,19 @@ __all__ = [
 #: Gap assigned to the "very large" arms of the one-small-gap instance family.
 LARGE_GAP = 100.0
 
+#: numpy's ``SeedSequence`` hash constants (a pool of 4 words) and PCG64's multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M128 = 0xCA01F9DD, 0x4973F715, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: The hash constant is multiplied at every hash, whatever the data.  A seed's pool takes 16
+#: hashes (4 words in, 12 cross-mixes), so a spawn key's word meets the 16th to 20th constants;
+#: ``generate_state``'s 8 words meet the first 9 of their own sequence.
+_KEY_HASH = tuple(_INIT_A * pow(_MULT_A, k, 1 << 32) & 0xFFFFFFFF for k in range(16, 21))
+_STATE_HASH = tuple(_INIT_B * pow(_MULT_B, k, 1 << 32) & 0xFFFFFFFF for k in range(9))
+#: Fewest rows seeded in one array pass, which costs ~25 µs for any row count: numpy
+#: seeds a stream in ~11 µs.
+_ARRAY_ROWS = 3
+
 
 def _frozen(values, dtype) -> np.ndarray:
     """A copy of ``values`` over an immutable ``bytes`` buffer, so it can never be made writable."""
@@ -244,7 +257,8 @@ class RngStream:
 
     Two streams built from the same pair yield bit-identical draw sequences;
     distinct ``stream_index`` values give statistically independent streams
-    (PCG64 seeded through ``SeedSequence(seed, spawn_key=(stream_index,))``).
+    (PCG64 seeded by numpy through ``SeedSequence(seed, spawn_key=(stream_index,))``;
+    :class:`VariateBlock` computes the same seeded states for many streams at once).
     ``seed`` must be a whole number in ``[0, 2**64)`` and ``stream_index`` a
     nonnegative one; anything else raises ``ValueError``.  Streams are
     stateful and must not be shared between concurrent consumers.
@@ -303,14 +317,17 @@ class VariateBlock:
     """Standard-normal prefixes of the streams ``RngStream(seed, i)``, ``start <= i < stop``.
 
     Row ``i - start`` of :meth:`prefix` holds the first variates stream ``i``
-    yields.  ``standard_normal(n)`` returns the same values as ``n`` scalar
-    draws, so a walk that reads its row left to right sees exactly what a
-    scalar walk on a fresh stream draws.  Each replication's generator is
-    built once; the block grows by drawing further columns when a caller
-    needs a longer prefix, so every cell of a sweep reads one shared prefix.
-    It grows to at least twice its width, so ``k`` ascending requests cost
-    ``O(log k)`` growths, and it is never wider than twice the longest
-    prefix requested.
+    yields, as a scalar walk on a fresh stream draws them.  The block keeps
+    no generator per stream, only each stream's seeded PCG64 ``(state, inc)``,
+    computed with numpy's bytes: its documented ``SeedSequence`` mixing of the
+    seed's words and the spawn key ``(i,)``, then PCG64's seeding, in one
+    ``uint32`` array pass over every ``i``.  A block of fewer than
+    ``_ARRAY_ROWS`` rows, or reaching past ``2**32`` (where a spawn key takes
+    more words), asks numpy for each stream's state.  Rows are drawn by setting
+    one shared PCG64 to their states.  A caller needing a longer prefix grows
+    the block: every row is redrawn at least twice as wide, so ``k`` ascending
+    requests cost ``O(log k)`` growths and the block is never wider than twice
+    the longest prefix requested.
     """
 
     def __init__(self, seed: int, start: int, stop: int) -> None:
@@ -318,24 +335,54 @@ class VariateBlock:
         self.stop = _whole(stop, "stop")
         if not self.start < self.stop:
             raise ValueError("need 0 <= start < stop")
-        self._generators: Optional[list] = None
+        self._bits = self._generators = None  # the shared PCG64; each row's (state, inc)
         self._block = np.empty((self.stop - self.start, 0))
 
     @property
     def reps(self) -> int:
         return self.stop - self.start
 
+    def _seeded(self) -> Tuple[np.random.PCG64, List[Tuple[int, int]]]:
+        """A PCG64 to draw with, and each stream's seeded ``(state, inc)``."""
+        if self.reps < _ARRAY_ROWS or self.stop > 1 << 32:
+            seeded = []
+            for i in range(self.start, self.stop):
+                bits = np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(i,)))
+                state = bits.state["state"]
+                seeded.append((state["state"], state["inc"]))
+            return bits, seeded
+        # SeedSequence(seed) leaves the pool every stream of the seed starts from (it hashes a
+        # zero for each pool word the seed lacks, as a stream's zero padding does); each stream
+        # then hashes its spawn key's one word into every pool word.
+        ss = np.random.SeedSequence(self.seed)
+        a, b = (np.array(c, dtype=np.uint32)[:, None] for c in (_KEY_HASH, _STATE_HASH))
+        h = (np.arange(self.start, self.stop, dtype=np.uint32) ^ a[:-1]) * a[1:]
+        h ^= h >> 16
+        pool = ss.pool[:, None] * _MIX_L - h * _MIX_R
+        pool ^= pool >> 16
+        # generate_state(4, uint64): 8 words cycling over the pool, paired little-endian.
+        words = (np.concatenate([pool, pool]) ^ b[:-1]) * b[1:]
+        words = (words ^ words >> 16).astype(np.uint64)
+        seeded = []
+        for u0, u1, u2, u3 in (words[0::2] | words[1::2] << 32).T.tolist():  # PCG64's seeding
+            inc = ((u2 << 64 | u3) << 1 | 1) & _M128
+            seeded.append((((inc + (u0 << 64 | u1)) * _PCG_MULT + inc) & _M128, inc))
+        return np.random.PCG64(ss), seeded
+
     def prefix(self, n: int) -> np.ndarray:
         """The first ``n`` variates of every stream, as a read-only ``(reps, n)`` view."""
         have = self._block.shape[1]
         if n > have:
             if self._generators is None:
-                self._generators = [RngStream(self.seed, i).generator
-                                    for i in range(self.start, self.stop)]
-            width = max(n, 2 * have)
-            more = np.stack([g.standard_normal(width - have) for g in self._generators])
-            self._block = np.concatenate([self._block, more], axis=1)
-            self._block.setflags(write=False)
+                self._bits, self._generators = self._seeded()
+            block = np.empty((self.reps, max(n, 2 * have)))
+            gen = np.random.Generator(self._bits)
+            for row, (state, inc) in zip(block, self._generators):
+                self._bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                    "state": {"state": state, "inc": inc}}
+                gen.standard_normal(out=row)
+            block.setflags(write=False)
+            self._block = block
         return self._block[:, :n]
 
 

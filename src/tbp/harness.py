@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algos
-from .env import (Problem, RngStream, Setting, VariateBlock, check_setting, gaps, make_setting,
-                  true_labels)
+from .env import (Problem, RngStream, Setting, VariateBlock, _whole, check_setting, gaps,
+                  make_setting, true_labels)
 
 __all__ = [
     "ALGORITHMS",
@@ -81,12 +81,12 @@ class ExperimentConfig:
         for name in self.algos:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        for name in ("K", "T", "reps"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         # A run's streams refuse a seed that is not a whole number in [0, 2**64).
         object.__setattr__(self, "base_seed", RngStream(self.base_seed).seed)
-        if self.T < 1:
-            raise ValueError("T must be >= 1")
+        if min(self.T, self.reps) < 1:
+            raise ValueError("T and reps must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError("sigma must be finite and nonnegative")
         if not math.isfinite(self.tau):

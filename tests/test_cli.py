@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from tbp import cli
+from tbp import cli, harness
 from tbp.algos import ALGORITHMS
-from tbp.cli import MAX_GRID_POINTS, ConfigError, _parse_grid, build_parser, dispatch
+from tbp.cli import (MAX_GRID_POINTS, MAX_K, MAX_OUTCOMES, ConfigError, _parse_grid, build_parser,
+                     dispatch)
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +239,17 @@ class TestDispatch:
          "--delta", "0.4", "--reps", "3", "--seed", "18446744073709551616"],
         ["trace", "--setting", "1", "--algo", "explore", "--K", "20", "--T", "400",
          "--delta", "0.4", "--rep", "-1"],
+        # Arms and kept outcomes past their caps: refused before any task is planned.
+        ["run", "--setting", "1", "--algo", "uniform", "--K", "10001", "--T", "20002",
+         "--delta", "0.3"],
+        ["run", "--setting", "1", "--algo", "uniform", "--K", "10", "--T", "300",
+         "--delta", "0.3", "--reps", "1000000000000"],
+        ["sweep", "--setting", "1", "--algo", "explore,uniform", "--K", "10", "--T", "300",
+         "--sweep", "delta", "--grid", "0.2,0.3,0.4", "--reps", "1666667"],
+        ["sweep", "--setting", "2c", "--algo", "uniform", "--delta", "0.3", "--T", "1000000000",
+         "--sweep", "K", "--grid", "3,1000000000"],
+        ["trace", "--setting", "1", "--algo", "explore", "--K", "1000000000000", "--T", "400",
+         "--delta", "0.4"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")
@@ -301,3 +313,53 @@ class TestGridBound:
                      "0:1:1e-5", "0:1e9:1e-9", "0:1e308:1e-308"):
             with pytest.raises(ConfigError, match=f"at most {MAX_GRID_POINTS} values"):
                 _parse_grid(spec)
+
+
+@pytest.fixture(autouse=True)
+def _runs_stay_small(monkeypatch):
+    """Fail at once, instead of exhausting memory, should a run keeping more than
+    ``MAX_OUTCOMES`` outcomes start or an instance of more than ``MAX_K`` arms be built."""
+    run, build = harness.run_experiment, harness.build_instance
+
+    def bounded_run(config, threads=1):
+        outcomes = config.reps * len(harness._grid(config)) * len(config.algos)
+        assert outcomes <= MAX_OUTCOMES, f"a run keeping {outcomes} outcomes was started"
+        return run(config, threads)
+
+    def bounded_build(config, K, delta):
+        assert K <= MAX_K, f"an instance of {K} arms was built"
+        return build(config, K, delta)
+    monkeypatch.setattr(harness, "run_experiment", bounded_run)
+    monkeypatch.setattr(harness, "build_instance", bounded_build)
+
+
+class TestRunBound:
+    """A run at a cap is planned; one past it is refused before it is planned."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        reached = []
+
+        def plan(reps, threads, cores):  # stands in for the run, which is never made
+            reached.append(reps)
+            raise RuntimeError("planned")
+        monkeypatch.setattr(harness, "plan_tasks", plan)
+        return reached
+
+    @pytest.mark.parametrize("argv,at_cap,over", [
+        (["run", "--setting", "1", "--algo", "uniform", "--T", "20000", "--delta", "0.3",
+          "--K"], MAX_K, MAX_K + 1),
+        (["sweep", "--setting", "2c", "--algo", "uniform", "--T", "20000", "--delta", "0.3",
+          "--sweep", "K", "--grid"], f"3,{MAX_K}", f"3,{MAX_K + 1}"),
+        (["run", "--setting", "1", "--algo", "uniform", "--K", "10", "--T", "300",
+          "--delta", "0.3", "--reps"], MAX_OUTCOMES, MAX_OUTCOMES + 1),
+        (["sweep", "--setting", "1", "--algo", "explore,uniform", "--K", "10", "--T", "300",
+          "--sweep", "delta", "--grid", "0.2,0.3", "--reps"], MAX_OUTCOMES // 4,
+         MAX_OUTCOMES // 4 + 1),
+    ])
+    def test_the_documented_counts_are_the_limits(self, capsys, planned, argv, at_cap, over):
+        code, _, err = run_cli(capsys, *argv, str(at_cap), "--threads", "1")
+        assert (code, err.strip(), len(planned)) == (2, "error: planned", 1)
+        code, _, err = run_cli(capsys, *argv, str(over), "--threads", "1")
+        assert (code, len(planned)) == (1, 1)
+        assert "config error" in err

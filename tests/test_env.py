@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tbp import (
@@ -383,3 +383,30 @@ class TestReadAhead:
         gen = RngStream(11, 4).generator
         gen.standard_normal(n)
         return gen.bit_generator.state
+
+
+#: Stream indices near ``2**32`` and ``2**64``, where a spawn key takes a second and a third word.
+_INDICES = st.sampled_from([0, 2**32, 2**64]).flatmap(
+    lambda edge: st.integers(max(edge - 40, 0), edge + 40))
+
+
+class TestBlockSeeding:
+    """A block seeds its streams without numpy's per-stream builds, with the same bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), start=_INDICES, rows=st.integers(1, 40),
+           widths=st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    @example(seed=2**64 - 1, start=2**32 - 40, rows=40, widths=[3, 7])
+    @example(seed=2**32, start=2**32 - 3, rows=3, widths=[5])
+    @example(seed=2**32 - 1, start=2**64 - 2, rows=4, widths=[5])
+    def test_every_row_is_its_streams_draws(self, seed, start, rows, widths):
+        block = VariateBlock(seed, start, start + rows)
+        for n in widths:  # growing, as a sweep's cells ask for longer prefixes
+            block.prefix(n)
+        n = max(widths)
+        z = block.prefix(n)
+        for j, i in enumerate(range(start, start + rows)):
+            gen = RngStream(seed, i).generator
+            seeded = gen.bit_generator.state["state"]
+            assert block._generators[j] == (seeded["state"], seeded["inc"]), i
+            assert np.array_equal(z[j], gen.standard_normal(n)), i

@@ -69,6 +69,29 @@ CSV_CASES = {
          "--delta", "0.3", "--sweep", "K", "--grid", "3,5,9,17", "--reps", "10", "--seed", "4"],
         "bbdaa15ffdc3d0c95a5a80f1a2a3171e7356c4dd8cd42becaa9b40b8adc7a54e",
     ),
+    # More than 1,024 replications, so more than one task, each seeding its own range of
+    # streams; the last two have two-word seeds, 2**64 - 1 and 2**32 + 7.
+    "run-custom-5000": (
+        ["run", "--setting", "custom", "--means=0.2", "--algo", "uniform", "--T", "100",
+         "--reps", "5000"],
+        "7de7cde87f78e6f68858e914ca62fc4e4be18d52e87c7082bbb0958ce245630a",
+    ),
+    "run-s1-3000": (
+        ["run", "--setting", "1", "--algo", "explore,naive,uniform", "--K", "100",
+         "--T", "1000", "--delta", "0.3", "--reps", "3000", "--seed", "606"],
+        "4aa6f59dc41d3cf6874d7ce26293cc813ce1d76659b06eaffc064ed4b803f1b0",
+    ),
+    "sweep-K-2c-1500": (
+        ["sweep", "--setting", "2c", "--algo", "ctb,uniform", "--T", "400", "--delta", "0.3",
+         "--sweep", "K", "--grid", "3,5,9,17", "--reps", "1500", "--seed", "18446744073709551615"],
+        "84b8989699377c53532d6bd2db4139b00e9065f4cf786edefa4fe0b1194e415e",
+    ),
+    "sweep-delta-s2-2100": (
+        ["sweep", "--setting", "2", "--algo", "uniform,naive,explore", "--K", "33",
+         "--T", "500", "--sweep", "delta", "--grid", "0.2,0.35", "--reps", "2100",
+         "--seed", "4294967303"],
+        "9d62c8d89657183318ecb027ebd3b3efcf394bba99022a7c8263a9457d508a13",
+    ),
 }
 
 TRACE_CASES = {

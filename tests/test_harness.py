@@ -65,6 +65,9 @@ class TestConfigValidation:
         dict(sweep_param="K", sweep_values=(3, float("inf"))),
         dict(setting=Setting.CUSTOM, custom_means=(0.1, float("nan")), K=2),
         dict(K=2, sweep_param="K", sweep_values=(3, 5)),
+        dict(T=400.5),
+        dict(reps=2.5),
+        dict(K=4.5),
     ])
     def test_rejects_values_no_instance_can_honour(self, overrides):
         with pytest.raises(ValueError):
@@ -280,3 +283,12 @@ def test_a_whole_float_seed_is_the_integer_seed():
     rows = run_experiment(config)
     assert rows == run_experiment(cfg(base_seed=2, reps=3))
     assert [str(row.seed) for row in rows] == ["2"]  # the CSV's seed column
+
+
+def test_whole_float_fields_are_the_integers():
+    config = cfg(K=4.0, T=400.0, reps=3.0)
+    assert (config.K, config.T, config.reps) == (4, 400, 3)
+    assert all(type(v) is int for v in (config.K, config.T, config.reps))
+    rows = run_experiment(config)
+    assert rows == run_experiment(cfg(K=4, T=400, reps=3))
+    assert _row_line(rows[0]).split(",")[2:4] == ["4", "400"]  # the CSV's K and T columns

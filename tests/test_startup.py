@@ -52,6 +52,26 @@ def test_one_worker_sweep_imports_only_what_it_runs(tmp_path):
     assert len(out.read_text().splitlines()) == 2 + 2 * 3  # comment, header, 6 cells
 
 
+_NO_RANDOM = """
+import contextlib, io, sys
+import tbp.cli
+assert "numpy.random" not in sys.modules, "import tbp.cli loaded numpy.random"
+for argv in (["tree", "--K", "9"], ["bounds", "--shape", "concave", "--delta-min", "0.2",
+                                    "--T", "1000", "--K", "50"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert tbp.cli.dispatch(argv) == 0, argv
+    assert "numpy.random" not in sys.modules, f"tbp {argv[0]} loaded numpy.random"
+"""
+
+
+def test_cli_tree_and_bounds_load_no_numpy_random():
+    # numpy.random's first import costs ~10-15 ms and ~6 MB: only a run's streams need it.
+    src = str(Path(tbp.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", _NO_RANDOM], capture_output=True, text=True,
+                            timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+
+
 def test_z95_literal_is_the_normal_quantile():
     assert harness._Z95 == statistics.NormalDist().inv_cdf(0.975)
 
