@@ -12,7 +12,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from . import algos, harness, tree
+from . import algos, harness
 from .env import RngStream, Setting, ShapeClass
 
 if TYPE_CHECKING:
@@ -338,6 +338,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
+    from . import tree  # only this verb uses it; the sweep path never loads it
+
     if args.K is None or args.K < 3:
         raise ConfigError("--K must be >= 3")
     for line in tree.dump_lines(args.K):
@@ -359,10 +361,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               f"delta={config.delta} sigma={args.sigma} tau={args.tau} "
               f"seed={args.seed} rep={args.rep}")
     lines = [header]
-    for t, rec in enumerate(trajectory.steps, start=1):
-        node = rec.node
-        lines.append(f"{t},{node.depth},{node.left},{node.mid},{node.right},"
-                     f"{node.dup_count},{rec.action.value},{rec.budget_spent}")
+    actions = [action.value for action in algos.Action]
+    columns = (trajectory.depth, trajectory.left, trajectory.right, trajectory.dup_count,
+               trajectory.action, trajectory.budget)  # the final node has no move: zip drops it
+    for t, (depth, left, right, dup, act, spent) in enumerate(
+            zip(*(column.tolist() for column in columns)), start=1):
+        lines.append(f"{t},{depth},{left},{(left + right) // 2},{right},{dup},{actions[act]},{spent}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -3,7 +3,7 @@
 :func:`distance_series` is the tree-distance potential the drift and
 terminal lemmas bound, and :func:`favorable_series` marks the steps whose
 estimates all fall within ``delta_min`` of the truth.  Both read the columns
-of an :class:`~tbp.algos.Trajectory`.  What they need of the instance (the
+of a :class:`~tbp.walks.Trajectory`.  What they need of the instance (the
 way to the target, its depth, the true mean behind each slot) depends on the
 instance alone, so each is computed once per instance through
 :meth:`~tbp.env.Problem.derived`.
@@ -17,7 +17,7 @@ import numpy as np
 from .env import Problem, ShapeClass
 
 if TYPE_CHECKING:
-    from .algos import Trajectory
+    from .walks import Trajectory
 
 __all__ = ["distance_series", "favorable_series"]
 

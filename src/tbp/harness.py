@@ -81,8 +81,9 @@ class ExperimentConfig:
         for name in self.algos:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-        for name in ("K", "T", "reps"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name))
+        # A budget below 2**63 keeps every walker's int64 budget arrays exact.
+        for name, bits in (("K", None), ("T", 63), ("reps", None)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, bits))
         # A run's streams refuse a seed that is not a whole number in [0, 2**64).
         object.__setattr__(self, "base_seed", RngStream(self.base_seed).seed)
         if min(self.T, self.reps) < 1:
@@ -95,6 +96,9 @@ class ExperimentConfig:
             if not self.custom_means:
                 raise ValueError("custom setting requires custom_means")
             object.__setattr__(self, "custom_means", tuple(float(x) for x in self.custom_means))
+            if self.K != len(self.custom_means):  # the CSV's K field
+                raise ValueError(f"K must be the number of custom means, {len(self.custom_means)}, "
+                                 f"got {self.K}")
             Problem(self.custom_means, self.sigma, self.tau)  # refuses what build_instance would
         elif not (math.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be finite and positive")

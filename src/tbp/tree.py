@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
+from .algos import max_depth  # kept beside naive's budget rule, so a sweep loads no tree
+
 __all__ = ["Node", "root", "children", "parent", "is_leaf", "max_depth", "iter_preorder", "dump_lines"]
 
 
@@ -100,13 +102,6 @@ class NodeViews(dict):
                 return lo if left == l else hi
             l, r = (l, m) if right <= m else (m, r)
         raise ValueError(f"({left}, {right}) is not a node of the tree over {self.K} arms")
-
-
-def max_depth(K: int) -> int:
-    """Depth bound ``floor(log2(K)) + 1`` for the original (unextended) tree."""
-    if K < 3:
-        raise ValueError("K must be >= 3")
-    return K.bit_length()  # == floor(log2(K)) + 1 for K >= 1
 
 
 def iter_preorder(K: int) -> Iterator[Node]:

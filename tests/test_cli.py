@@ -363,3 +363,42 @@ class TestRunBound:
         code, _, err = run_cli(capsys, *argv, str(over), "--threads", "1")
         assert (code, len(planned)) == (1, 1)
         assert "config error" in err
+
+
+class TestBudgetBound:
+    """The largest budget is ``2**63 - 1``: the walkers keep budgets in int64 arrays."""
+
+    @pytest.fixture
+    def planned(self, monkeypatch):
+        reached = []
+
+        def plan(reps, threads, cores):  # stands in for the run, which is never made
+            reached.append(reps)
+            raise RuntimeError("planned")
+        monkeypatch.setattr(harness, "plan_tasks", plan)
+        return reached
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--algo", "uniform,explore"],
+        ["sweep", "--algo", "uniform,explore", "--sweep", "delta", "--grid", "0.2,0.3"],
+        ["trace", "--algo", "explore"],
+    ])
+    @pytest.mark.parametrize("T", [2**63, 10**20])
+    def test_a_larger_budget_is_a_config_error(self, capsys, planned, argv, T):
+        code, out, err = run_cli(capsys, *argv, "--setting", "1", "--K", "10", "--T", str(T),
+                                 "--delta", "0.3", "--threads", "1")
+        assert (code, out, planned) == (1, "", [])
+        assert "config error: T must be a nonnegative integer below 2**63" in err
+
+    @pytest.mark.parametrize("setting,names", [("1", ["explore", "naive", "uniform"]),
+                                               ("2c", ["ctb", "uniform"])])
+    def test_the_largest_budget_runs_every_algorithm(self, capsys, setting, names):
+        assert set(names) <= set(harness.ALGORITHMS)
+        code, out, err = run_cli(capsys, "run", "--setting", setting, "--algo", ",".join(names),
+                                 "--K", "10", "--T", str(2**63 - 1), "--delta", "0.3",
+                                 "--reps", "2", "--threads", "1")
+        assert code == 0, err
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert [row[1] for row in rows] == names
+        # Nothing skipped, and at that budget every estimate is exact enough to err nowhere.
+        assert [(row[3], row[8], row[14]) for row in rows] == [(str(2**63 - 1), "0", "0")] * len(names)

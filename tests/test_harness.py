@@ -292,3 +292,18 @@ def test_whole_float_fields_are_the_integers():
     rows = run_experiment(config)
     assert rows == run_experiment(cfg(K=4, T=400, reps=3))
     assert _row_line(rows[0]).split(",")[2:4] == ["4", "400"]  # the CSV's K and T columns
+
+
+def test_a_custom_k_field_must_count_the_means():
+    # The K field is written to the CSV: it must describe the instance that ran.
+    with pytest.raises(ValueError, match="number of custom means, 2, got 7"):
+        cfg(setting=Setting.CUSTOM, algos=("uniform",), K=7, T=100, delta=0.2, reps=3,
+            custom_means=(0.2, 0.5))
+    (row,) = run_experiment(cfg(setting=Setting.CUSTOM, K=2, custom_means=(0.2, 0.5), reps=3))
+    assert _row_line(row).split(",")[2] == "2"
+
+
+@pytest.mark.parametrize("T", [2**63, 10**20])
+def test_a_budget_int64_cannot_hold_is_refused(T):
+    with pytest.raises(ValueError, match=r"T must be a nonnegative integer below 2\*\*63"):
+        cfg(T=T)
