@@ -18,7 +18,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .env import Classification, Problem, ShapeClass, VariateBlock, augment, shape_check
+from .env import (Classification, Problem, ShapeClass, VariateBlock, _band_labels,
+                  _threshold_labels, augment, shape_check)
 
 __all__ = [
     "Action", "StepRecord", "Trajectory", "AlgoResult", "BatchResult", "GradState", "BudgetError",
@@ -103,19 +104,12 @@ def _grad_split(K: int, budget: int) -> Tuple[int, int]:
     raise BudgetError(f"budget {budget} too small: need floor(budget / T1) >= 12")
 
 
-def _uniform_split(K: int, T: int) -> int:
-    """Per-arm draws ``floor(T / K)`` of :func:`uniform`."""
+def _uniform_split(problem: Problem, T: int) -> int:
+    """Per-arm draws ``floor(T / K)`` of :func:`uniform` over the ``K`` real arms of ``problem``."""
+    K = problem.n_original
     if T < K:
         raise BudgetError(f"budget {T} too small: need T >= K = {K}")
     return T // K
-
-
-def _real_arms(problem: Problem) -> np.ndarray:
-    """Mask of the arms that cost budget: every arm but the sentinels."""
-    real = np.ones(problem.K, dtype=bool)
-    if problem.sentinels is not None:
-        real[[0, -1]] = False
-    return real
 
 
 def _as_monotone_walk_problem(problem: Problem, check_shape: bool) -> Problem:
@@ -128,8 +122,7 @@ def _as_monotone_walk_problem(problem: Problem, check_shape: bool) -> Problem:
 def _crossing_labels(work: Problem, k_hat_aug):
     """Crossing in original indices (``1..K+1``) and its labels; broadcasts over a row vector."""
     crossing = k_hat_aug - 1
-    arms = np.arange(1, work.n_original + 1)
-    return crossing, np.where(arms >= np.expand_dims(crossing, -1), 1, -1)
+    return crossing, _band_labels(work.n_original, crossing, work.n_original)
 
 
 def _crossing(work: Problem, r: int) -> Tuple[int, Classification]:
@@ -155,11 +148,8 @@ def _segments(problem: Problem, k_hat: int) -> Tuple[Problem, Problem]:
 
 def _uniform_labels(problem: Problem, n: int, z: np.ndarray) -> np.ndarray:
     """:func:`uniform`'s labels for each row of ``z``, one variate per real arm."""
-    real = _real_arms(problem)
-    est = np.tile(problem.means, (z.shape[0], 1))
-    est[:, real] = problem.means[real] + (problem.sigma / math.sqrt(n)) * z
-    labels = np.where(est >= problem.tau, 1, -1)
-    return labels[:, 1:-1] if problem.sentinels is not None else labels
+    return _threshold_labels(problem.original_means + (problem.sigma / math.sqrt(n)) * z,
+                             problem.tau)
 
 
 def _walking(t1: np.ndarray) -> np.ndarray:
@@ -257,10 +247,9 @@ def naive_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult
 
 def uniform_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
     """:func:`uniform` for every replication of ``variates`` at once."""
-    n = _uniform_split(problem.K, T)
-    n_real = int(_real_arms(problem).sum())
-    labels = _uniform_labels(problem, n, variates.prefix(n_real))
-    return BatchResult(None, labels, np.full(variates.reps, n * n_real, dtype=np.int64))
+    n = _uniform_split(problem, T)
+    labels = _uniform_labels(problem, n, variates.prefix(problem.n_original))
+    return BatchResult(None, labels, np.full(variates.reps, n * problem.n_original, dtype=np.int64))
 
 
 #: Most ``rows x T1`` elements one lockstep :func:`ctb` walk spans.  Its
@@ -399,9 +388,7 @@ def _ctb_walk(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], T:
     # Labels are built per cell as it is consumed: one cell's at a time.
     for i in np.argsort(order):
         rows = slice(i * reps, (i + 1) * reps)
-        arms = np.arange(1, Kc[i] + 1)
-        labels = np.where((arms >= l[rows, None]) & (arms <= r[rows, None]), 1, -1)
-        yield BatchResult(k_hat[rows], labels, spent[rows])
+        yield BatchResult(k_hat[rows], _band_labels(Kc[i], l[rows], r[rows]), spent[rows])
 
 
 def ctb_batch(problems: Sequence[Problem], T: int, variates: VariateBlock) -> Iterator[BatchResult]:
@@ -462,8 +449,7 @@ ALGORITHMS = {
         lambda ps, T, v: (naive_batch(p, T, v) for p in ps),
         lambda p, T, rng: _this.naive(p, T, rng).trajectory),
     "gradexplore": Algorithm(trace=lambda p, T, rng: _this.gradexplore(p, T, rng)[1]),
-    "uniform": Algorithm(lambda p, T: _uniform_split(p.K, T),
-                         lambda ps, T, v: (uniform_batch(p, T, v) for p in ps)),
+    "uniform": Algorithm(_uniform_split, lambda ps, T, v: (uniform_batch(p, T, v) for p in ps)),
     "ctb": Algorithm(ctb_check, lambda ps, T, v: ctb_batch(ps, T, v),
                      lambda p, T, rng: _this.ctb(p, T, rng).trajectory),
 }

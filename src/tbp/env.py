@@ -45,9 +45,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: ``generate_state``'s 8 words meet the first 9 of their own sequence.
 _KEY_HASH = tuple(_INIT_A * pow(_MULT_A, k, 1 << 32) & 0xFFFFFFFF for k in range(16, 21))
 _STATE_HASH = tuple(_INIT_B * pow(_MULT_B, k, 1 << 32) & 0xFFFFFFFF for k in range(9))
-#: Fewest rows seeded in one array pass, which costs ~25 µs for any row count: numpy
-#: seeds a stream in ~11 µs.
-_ARRAY_ROWS = 3
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -321,13 +318,12 @@ class VariateBlock:
     no generator per stream, only each stream's seeded PCG64 ``(state, inc)``,
     computed with numpy's bytes: its documented ``SeedSequence`` mixing of the
     seed's words and the spawn key ``(i,)``, then PCG64's seeding, in one
-    ``uint32`` array pass over every ``i``.  A block of fewer than
-    ``_ARRAY_ROWS`` rows, or reaching past ``2**32`` (where a spawn key takes
-    more words), asks numpy for each stream's state.  Rows are drawn by setting
-    one shared PCG64 to their states.  A caller needing a longer prefix grows
-    the block: every row is redrawn at least twice as wide, so ``k`` ascending
-    requests cost ``O(log k)`` growths and the block is never wider than twice
-    the longest prefix requested.
+    ``uint32`` array pass over every ``i``.  A block reaching past ``2**32``,
+    where a spawn key takes more words, asks numpy for each stream's state.
+    Rows are drawn by setting one shared PCG64 to their states.  A caller
+    needing a longer prefix grows the block: every row is redrawn at least
+    twice as wide, so ``k`` ascending requests cost ``O(log k)`` growths and
+    the block is never wider than twice the longest prefix requested.
     """
 
     def __init__(self, seed: int, start: int, stop: int) -> None:
@@ -344,7 +340,7 @@ class VariateBlock:
 
     def _seeded(self) -> Tuple[np.random.PCG64, List[Tuple[int, int]]]:
         """A PCG64 to draw with, and each stream's seeded ``(state, inc)``."""
-        if self.reps < _ARRAY_ROWS or self.stop > 1 << 32:
+        if self.stop > 1 << 32:
             seeded = []
             for i in range(self.start, self.stop):
                 bits = np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(i,)))
@@ -386,10 +382,20 @@ class VariateBlock:
         return self._block[:, :n]
 
 
+def _threshold_labels(values, tau) -> np.ndarray:
+    """The threshold rule: ``+1`` where a value is at or above ``tau``, else ``-1``."""
+    return np.where(values >= tau, 1, -1)
+
+
+def _band_labels(n: int, l, r) -> np.ndarray:
+    """The band rule: ``+1`` for arms ``l..r`` of ``1..n``, else ``-1``; rows broadcast."""
+    arms = np.arange(1, n + 1)
+    return np.where((arms >= np.expand_dims(l, -1)) & (arms <= np.expand_dims(r, -1)), 1, -1)
+
+
 def true_labels(problem: Problem) -> Classification:
     """Ground-truth classification of the non-sentinel arms."""
-    mu = problem.original_means
-    return Classification(np.where(mu >= problem.tau, 1, -1))
+    return Classification(_threshold_labels(problem.original_means, problem.tau))
 
 
 def gaps(problem: Problem) -> GapVector:

@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algos
-from .env import (Problem, RngStream, Setting, VariateBlock, _whole, check_setting, gaps,
-                  make_setting, true_labels)
+from .env import (Problem, Setting, VariateBlock, _whole, check_setting, gaps, make_setting,
+                  true_labels)
 
 __all__ = [
     "ALGORITHMS",
@@ -81,11 +81,10 @@ class ExperimentConfig:
         for name in self.algos:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}")
-        # A budget below 2**63 keeps every walker's int64 budget arrays exact.
-        for name, bits in (("K", None), ("T", 63), ("reps", None)):
-            object.__setattr__(self, name, _whole(getattr(self, name), name, bits))
-        # A run's streams refuse a seed that is not a whole number in [0, 2**64).
-        object.__setattr__(self, "base_seed", RngStream(self.base_seed).seed)
+        # T below 2**63 keeps every walker's int64 budget arrays exact; streams take seeds < 2**64.
+        for name, what, bits in (("K", "K", None), ("T", "T", 63), ("reps", "reps", None),
+                                 ("base_seed", "seed", 64)):
+            object.__setattr__(self, name, _whole(getattr(self, name), what, bits))
         if min(self.T, self.reps) < 1:
             raise ValueError("T and reps must be >= 1")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):

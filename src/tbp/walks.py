@@ -16,9 +16,9 @@ import numpy as np
 
 from . import algos
 from .algos import (ShapeError, _as_monotone_walk_problem, _crossing, _grad_split, _naive_split,
-                    _real_arms, _uniform_labels, _uniform_split, budget_split, ctb_check)
+                    _uniform_labels, _uniform_split, budget_split, ctb_check)
 from .diagnostics import distance_series, favorable_series  # noqa: F401 (tbp.algos re-exports them)
-from .env import Classification, Problem, RngStream, ShapeClass, augment, shape_check
+from .env import Classification, Problem, RngStream, ShapeClass, _band_labels, augment, shape_check
 from .tree import Node, NodeViews
 
 
@@ -297,10 +297,10 @@ def _reversed(problem: Problem) -> Problem:
 
 
 def _reversed_crossing(work: Problem, k_hat: int) -> Tuple[int, Classification]:
-    """:func:`dexplore`'s ``k_hat`` and labels from the crossing ``k_hat`` that
-    :func:`explore` found on ``work``, the reversed instance's augmented twin."""
-    labels = work.derived(_crossing, k_hat + 1)[1].labels
-    return work.n_original + 1 - k_hat, Classification(labels[::-1])
+    """:func:`dexplore`'s last arm above and labels, the band ``[1, last]``, from ``work``'s
+    crossing ``k_hat``: ``work`` is the reversed instance's augmented twin."""
+    last = work.n_original + 1 - k_hat
+    return last, Classification(_band_labels(work.n_original, 1, last))
 
 
 def _slope(lo: float, hi: float) -> float:
@@ -331,7 +331,7 @@ def gradexplore(
         raise ShapeError("means are not concave")
     K, tau, mu = problem.K, problem.tau, problem.derived(_float_means)
     t1, t2 = _grad_split(K, budget)
-    n = max(1, t2 // 12)
+    n = t2 // 12
     scale = problem.sigma / math.sqrt(n)
     z, c = rng.read_ahead(6 * t1), 0
     walk = _Walk(K)
@@ -417,8 +417,7 @@ def ctb(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -
 
 def _band(problem: Problem, l: int, r: int) -> Classification:
     """Arm ``k`` labeled above iff ``l <= k <= r``."""
-    arms = np.arange(1, problem.K + 1)
-    return Classification(np.where((arms >= l) & (arms <= r), 1, -1))
+    return Classification(_band_labels(problem.K, l, r))
 
 
 def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True) -> AlgoResult:
@@ -450,8 +449,7 @@ def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True)
 
 
 def uniform(problem: Problem, T: int, rng: RngStream) -> AlgoResult:
-    """Sample every arm ``floor(T / K)`` times and threshold the sample means."""
-    n = _uniform_split(problem.K, T)
-    n_real = int(_real_arms(problem).sum())
-    (labels,) = _uniform_labels(problem, n, rng.generator.standard_normal((1, n_real)))
-    return AlgoResult(None, Classification(labels), n * n_real, None, problem)
+    """Sample each real arm ``floor(T / n_original)`` times and threshold the sample means."""
+    n = _uniform_split(problem, T)
+    (labels,) = _uniform_labels(problem, n, rng.generator.standard_normal((1, problem.n_original)))
+    return AlgoResult(None, Classification(labels), n * problem.n_original, None, problem)

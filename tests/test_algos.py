@@ -24,6 +24,7 @@ from tbp import (
     true_labels,
     uniform,
 )
+from tbp.algos import ctb_check
 from conftest import random_concave_means, random_relaxed_means
 
 
@@ -309,3 +310,13 @@ class TestDiagnostics:
             steps = np.diff(D)
             assert np.all(steps <= 1)
             assert np.all(steps[xi] <= -1)
+
+
+@pytest.mark.parametrize("walk", [
+    pytest.param(lambda p: ctb_check(p, 3000), id="ctb_check"),
+    pytest.param(lambda p: ctb(p, 3000, RngStream(0)), id="ctb"),
+])
+def test_ctb_refuses_an_augmented_instance(walk):
+    twin = augment(P([-3, -1, 1, 0.5, -2]), ShapeClass.CONCAVE)
+    with pytest.raises(ValueError, match="un-augmented"):
+        walk(twin)

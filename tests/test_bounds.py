@@ -188,3 +188,24 @@ class TestConcavePerturb:
     def test_rejects_nonconcave(self):
         with pytest.raises(ValueError):
             concave_perturb(Problem(np.array([0.0, -1.0, 1.0]), 1.0, 0.0))
+
+
+_OUT_OF_DOMAIN = [dict(sigma=0.0), dict(sigma=-1.0), dict(delta_min=-0.1), dict(T=0), dict(K=0)]
+
+
+@pytest.mark.parametrize("bound,inputs", [
+    (bound, inputs) for bound in (monotone_lower, monotone_upper, concave_lower, concave_upper)
+    for inputs in _OUT_OF_DOMAIN if "K" not in inputs or bound in (monotone_upper, concave_upper)
+], ids=lambda v: v.__name__ if callable(v) else ",".join(f"{k}={x}" for k, x in v.items()))
+def test_a_bound_refuses_inputs_out_of_its_domain(bound, inputs):
+    args = {"delta_min": 0.2, "T": 1000, "sigma": 1.0, **inputs}
+    if bound in (monotone_upper, concave_upper):
+        args.setdefault("K", 10)
+    with pytest.raises(ValueError):
+        bound(**args)
+
+
+@pytest.mark.parametrize("T,sigma", [(1, 1.0), (100, 0.0)])
+def test_unstructured_bounds_refuse_inputs_out_of_their_domain(T, sigma):
+    with pytest.raises(ValueError):
+        unstructured_bounds([0.1, 0.2], T, sigma, 2)

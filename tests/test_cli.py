@@ -402,3 +402,43 @@ class TestBudgetBound:
         assert [row[1] for row in rows] == names
         # Nothing skipped, and at that budget every estimate is exact enough to err nowhere.
         assert [(row[3], row[8], row[14]) for row in rows] == [(str(2**63 - 1), "0", "0")] * len(names)
+
+
+def test_a_ctb_sweep_whose_every_cell_is_over_budget_still_runs(capsys):
+    sweep = ["sweep", "--setting", "2c", "--K", "9", "--T", "100", "--sweep", "delta",
+             "--grid", "0.3,0.5", "--reps", "3"]
+    code, out, err = run_cli(capsys, *sweep, "--algo", "ctb,uniform")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [(row[1], row[14]) for row in rows] == [("ctb", "1"), ("uniform", "0")] * 2
+    code, alone, _ = run_cli(capsys, *sweep, "--algo", "uniform")
+    assert code == 0
+    assert [",".join(row) for row in rows[1::2]] == alone.splitlines()[2:]
+
+
+_RUN = ["run", "--setting", "2", "--algo", "uniform", "--K", "4", "--T", "400", "--delta", "5"]
+
+
+@pytest.mark.parametrize("argv,env,config,message", [
+    pytest.param(["run", "--config"], None, None, "requires a path", id="config-without-a-path"),
+    pytest.param(["run", "--config", "{missing}"], None, None, "cannot read",
+                 id="unreadable-config"),
+    pytest.param(["run", "--config", "{conf}"], None, "setting=2\nalgo uniform\n", "key=value",
+                 id="config-line-without-equals"),
+    pytest.param(_RUN, "abc", None, "TBP_THREADS must be an integer",
+                 id="threads-env-not-an-integer"),
+    pytest.param(_RUN, "0", None, "threads must be >= 1", id="threads-env-zero"),
+    pytest.param(["run", "--setting", "7", *_RUN[3:]], None, None, "unknown setting",
+                 id="unknown-setting"),
+])
+def test_a_refused_invocation_is_a_config_error(capsys, monkeypatch, tmp_path, argv, env, config,
+                                                message):
+    conf = tmp_path / "tbp.conf"
+    if config is not None:
+        conf.write_text(config)
+    if env is not None:
+        monkeypatch.setenv("TBP_THREADS", env)
+    argv = [a.format(missing=tmp_path / "missing.conf", conf=conf) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("config error") and message in err, err

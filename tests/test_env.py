@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from tbp import (
     Classification,
+    GapVector,
     Problem,
     RngStream,
     Setting,
@@ -410,3 +411,28 @@ class TestBlockSeeding:
             seeded = gen.bit_generator.state["state"]
             assert block._generators[j] == (seeded["state"], seeded["inc"]), i
             assert np.array_equal(z[j], gen.standard_normal(n)), i
+
+
+_INF = math.inf
+
+
+@pytest.mark.parametrize("build,match", [
+    pytest.param(lambda: P(np.zeros((2, 2))), "non-empty 1-d", id="2-d-means"),
+    pytest.param(lambda: P([]), "non-empty 1-d", id="no-means"),
+    pytest.param(lambda: P([0.1], tau=_INF), "tau must be finite", id="infinite-tau"),
+    pytest.param(lambda: P([0.1], tau=math.nan), "tau must be finite", id="nan-tau"),
+    pytest.param(lambda: P([-_INF, _INF], sentinels=(-_INF, _INF)), "at least one real arm",
+                 id="no-real-arm"),
+    pytest.param(lambda: P([-1.0, 0.1, _INF], sentinels=(-1.0, _INF)), "low sentinel",
+                 id="finite-low-sentinel"),
+    pytest.param(lambda: P([-_INF, 0.1, 2.0], sentinels=(-_INF, 2.0)), "high sentinel",
+                 id="finite-high-sentinel"),
+    pytest.param(lambda: P([-_INF, 0.1, -_INF], sentinels=(-_INF, _INF)), "boundary means",
+                 id="sentinels-off-the-boundary-means"),
+    pytest.param(lambda: GapVector([-0.1, 0.2], -0.1), "nonnegative", id="negative-gap"),
+    pytest.param(lambda: GapVector([0.1, 0.2], 0.2), "minimum gap", id="delta-min-not-the-minimum"),
+    pytest.param(lambda: Classification(np.ones((2, 2))), "1-d", id="2-d-labels"),
+])
+def test_a_value_no_instance_can_hold_is_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()

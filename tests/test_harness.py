@@ -307,3 +307,22 @@ def test_a_custom_k_field_must_count_the_means():
 def test_a_budget_int64_cannot_hold_is_refused(T):
     with pytest.raises(ValueError, match=r"T must be a nonnegative integer below 2\*\*63"):
         cfg(T=T)
+
+
+@pytest.mark.parametrize("overrides,match", [
+    pytest.param(dict(sweep_param="sigma", sweep_values=(0.5, 1.0)), "sweep_param",
+                 id="unknown-sweep-param"),
+    pytest.param(dict(sweep_param="delta", sweep_values=()), "nonempty", id="empty-sweep"),
+    pytest.param(dict(setting=Setting.CUSTOM, K=2, custom_means=(0.2, 0.5), sweep_param="delta",
+                      sweep_values=(0.1, 0.2)), "custom", id="custom-sweep"),
+])
+def test_a_sweep_no_run_can_make_is_refused(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        cfg(**overrides)
+
+
+def test_an_empty_sample_and_no_worker_are_refused():
+    with pytest.raises(ValueError, match="n >= 1"):
+        wilson_interval(0, 0)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_experiment(cfg(), threads=0)

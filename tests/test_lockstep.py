@@ -9,9 +9,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tbp import BudgetError, Problem, RngStream, Setting, ShapeError, make_setting
+from tbp import (BudgetError, Problem, RngStream, Setting, ShapeClass, ShapeError, augment,
+                 make_setting, true_labels)
 import tbp.algos
 from tbp.algos import (
     ALGORITHMS,
@@ -253,3 +254,54 @@ def test_ctb_budget_error_before_any_draw():
 def test_ctb_shape_error():
     with pytest.raises(ShapeError):
         ctb_batch([Problem([0.5, -0.1, 0.2], 1.0, 0.0)], 3000, VariateBlock(0, 0, 2))
+
+
+@pytest.mark.parametrize("shape", [ShapeClass.MONOTONE, ShapeClass.CONCAVE])
+def test_uniform_on_an_augmented_twin_is_uniform_on_the_instance(shape):
+    # The free sentinels take no share of the budget: every real arm gets T / 4 draws.
+    problem = Problem([-0.4, -0.1, 0.2, 0.5], 1.0, 0.0)
+    twin = augment(problem, shape)
+    raw = uniform(problem, 600, RngStream(3, 1))
+    assert raw.total_budget == 600
+    ALGORITHMS["uniform"].check(twin, 4)
+    with pytest.raises(BudgetError):
+        ALGORITHMS["uniform"].check(twin, 3)
+    got = uniform(twin, 600, RngStream(3, 1))
+    assert np.array_equal(got.q_hat.labels, raw.q_hat.labels) and got.total_budget == 600
+    (rows,) = ALGORITHMS["uniform"].lockstep([twin], 600, VariateBlock(3, 1, 2))
+    assert np.array_equal(rows.labels, [raw.q_hat.labels]) and rows.total_budget.tolist() == [600]
+
+
+#: The recorded walker of every algorithm with a lockstep walker.
+SCALAR = {"explore": explore, "naive": naive, "uniform": uniform, "ctb": ctb}
+
+
+def assert_noiseless_is_the_truth(problem, scale, slack):
+    """At sigma = 0 every algorithm whose shape and budget rules pass labels every arm right,
+    in every lockstep row and in its recorded walk."""
+    assert set(SCALAR) == {name for name, entry in ALGORITHMS.items() if entry.lockstep}
+    truth = true_labels(problem).labels
+    for name, walk in SCALAR.items():
+        entry, T = ALGORITHMS[name], scale * budget_floor(name, problem.K) + slack
+        try:
+            entry.check(problem, T)
+        except (BudgetError, ShapeError):
+            continue
+        (rows,) = entry.lockstep([problem], T, VariateBlock(5, 0, 3))
+        assert np.array_equal(rows.labels, np.tile(truth, (3, 1))), name
+        assert np.array_equal(walk(problem, T, RngStream(5, 0)).q_hat.labels, truth), name
+
+
+@pytest.mark.parametrize("setting", [Setting.S1, Setting.S2, Setting.S2_CONCAVE])
+@pytest.mark.parametrize("K", [3, 4, 9, 100])
+@pytest.mark.parametrize("delta,tau", [(0.05, 0.0), (1.0, -1.5)])
+def test_noiseless_families_are_classified_exactly(setting, K, delta, tau):
+    assert_noiseless_is_the_truth(make_setting(setting, K, delta, tau, 0.0), 1, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=st.one_of(instances(), concave_instances()), scale=st.sampled_from([1, 2, 10]),
+       slack=st.integers(0, 30))
+def test_noiseless_instances_are_classified_exactly(problem, scale, slack):
+    assume(not np.any(problem.means == problem.tau))  # ties at tau are the tie rule's
+    assert_noiseless_is_the_truth(Problem(problem.means, 0.0, problem.tau), scale, slack)

@@ -140,3 +140,18 @@ def test_node_views_refuse_what_is_not_a_node():
             with pytest.raises(ValueError, match="not a node"):
                 views[key]
         assert key not in views
+
+
+@pytest.mark.parametrize("fields,match", [
+    pytest.param(dict(left=3, mid=2, right=1), "invalid triple", id="unordered-triple"),
+    pytest.param(dict(left=1, mid=2, right=5), "floor", id="mid-not-the-floor-midpoint"),
+    pytest.param(dict(left=1, mid=3, right=5, depth=1), "ancestor count",
+                 id="depth-without-ancestors"),
+    pytest.param(dict(left=1, mid=1, right=2, dup_count=-1), "nonnegative",
+                 id="negative-dup-count"),
+    pytest.param(dict(left=1, mid=3, right=5, dup_count=1), "only leaves",
+                 id="duplicate-of-an-inner-node"),
+])
+def test_a_node_breaking_an_invariant_is_refused(fields, match):
+    with pytest.raises(ValueError, match=match):
+        Node(**fields)
