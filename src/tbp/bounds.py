@@ -67,12 +67,18 @@ def _report(shape, side, exponent, leading, regime_ok, **params) -> BoundReport:
     )
 
 
+def _check_domain(sigma: float, delta_min: float = 0.0, T: int = 1, K: int = 1) -> None:
+    """Raise ``ValueError`` unless ``sigma`` is finite and positive, ``delta_min`` finite and
+    nonnegative, and ``T`` and ``K`` at least 1."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not (math.isfinite(delta_min) and delta_min >= 0) or T < 1 or K < 1:
+        raise ValueError("need a finite delta_min >= 0, T >= 1 and K >= 1")
+
+
 def monotone_lower(delta_min: float, T: int, sigma: float) -> BoundReport:
     """Worst-case error floor ``(1/4) exp(-T delta_min^2 / sigma^2)``."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if delta_min < 0 or T < 1:
-        raise ValueError("need delta_min >= 0 and T >= 1")
+    _check_domain(sigma, delta_min, T)
     exponent = -T * delta_min**2 / sigma**2
     return _report(ShapeClass.MONOTONE, "lower", exponent, 0.25, True,
                    delta_min=delta_min, T=T, sigma=sigma)
@@ -80,10 +86,7 @@ def monotone_lower(delta_min: float, T: int, sigma: float) -> BoundReport:
 
 def monotone_upper(delta_min: float, T: int, sigma: float, K: int) -> BoundReport:
     """Guarantee ``exp(-T delta_min^2 / (48 sigma^2) + 12 ln K)``; regime ``T > 36 ln K``."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if delta_min < 0 or T < 1 or K < 1:
-        raise ValueError("need delta_min >= 0, T >= 1, K >= 1")
+    _check_domain(sigma, delta_min, T, K)
     exponent = -MONOTONE_RATE_CONSTANT * T * delta_min**2 / sigma**2 + LOG_K_CONSTANT * math.log(K)
     regime_ok = T > MONOTONE_REGIME_FACTOR * math.log(K)
     return _report(ShapeClass.MONOTONE, "upper", exponent, 1.0, regime_ok,
@@ -92,10 +95,7 @@ def monotone_upper(delta_min: float, T: int, sigma: float, K: int) -> BoundRepor
 
 def concave_lower(delta_min: float, T: int, sigma: float) -> BoundReport:
     """Worst-case error floor ``(1/4) exp(-9 T delta_min^2 / sigma^2)``."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if delta_min < 0 or T < 1:
-        raise ValueError("need delta_min >= 0 and T >= 1")
+    _check_domain(sigma, delta_min, T)
     exponent = -9.0 * T * delta_min**2 / sigma**2
     return _report(ShapeClass.CONCAVE, "lower", exponent, 0.25, True,
                    delta_min=delta_min, T=T, sigma=sigma)
@@ -103,10 +103,7 @@ def concave_lower(delta_min: float, T: int, sigma: float) -> BoundReport:
 
 def concave_upper(delta_min: float, T: int, sigma: float, K: int) -> BoundReport:
     """Guarantee ``3 exp(-T delta_min^2 / (576 sigma^2) + 12 ln K)``; regime ``T > 108 ln K``."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if delta_min < 0 or T < 1 or K < 1:
-        raise ValueError("need delta_min >= 0, T >= 1, K >= 1")
+    _check_domain(sigma, delta_min, T, K)
     exponent = -CONCAVE_RATE_CONSTANT * T * delta_min**2 / sigma**2 + LOG_K_CONSTANT * math.log(K)
     regime_ok = T > CONCAVE_REGIME_FACTOR * math.log(K)
     return _report(ShapeClass.CONCAVE, "upper", exponent, 3.0, regime_ok,
@@ -132,8 +129,7 @@ def unstructured_bounds(
     """Unconstrained-class bounds driven by ``H = sum gap^-2`` (lower, upper)."""
     if T < 2:
         raise ValueError("T must be >= 2")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_domain(sigma)
     H = unstructured_complexity(gap_vector)
     if H == 0:
         raise ValueError("all gaps are zero: complexity H is undefined")

@@ -387,6 +387,11 @@ def _threshold_labels(values, tau) -> np.ndarray:
     return np.where(values >= tau, 1, -1)
 
 
+def _threshold_gaps(values, tau) -> np.ndarray:
+    """The gap rule: each value's distance ``|value - tau|`` to the threshold."""
+    return np.abs(values - tau)
+
+
 def _band_labels(n: int, l, r) -> np.ndarray:
     """The band rule: ``+1`` for arms ``l..r`` of ``1..n``, else ``-1``; rows broadcast."""
     arms = np.arange(1, n + 1)
@@ -400,7 +405,7 @@ def true_labels(problem: Problem) -> Classification:
 
 def gaps(problem: Problem) -> GapVector:
     """Distances |mu_k - tau| for every arm (sentinels map to +inf)."""
-    g = np.abs(problem.means - problem.tau)
+    g = _threshold_gaps(problem.means, problem.tau)
     return GapVector(g, float(np.min(g)))
 
 
@@ -544,7 +549,7 @@ def make_setting(setting: Setting, K: int, delta: float, tau: float, sigma: floa
         # and at least one arm above threshold.
         if not shape_check(problem, ShapeClass.CONCAVE):
             raise RuntimeError("emitted tent instance is not concave")
-        if gaps(problem).delta_min < delta / 2 or not np.any(means > tau):
+        if np.min(_threshold_gaps(means, tau)) < delta / 2 or not np.any(means > tau):
             raise RuntimeError("emitted tent instance violates its gap contract")
     return problem
 

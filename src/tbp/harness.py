@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algos
-from .env import (Problem, Setting, VariateBlock, _whole, check_setting, gaps, make_setting,
-                  true_labels)
+from .env import (Problem, Setting, VariateBlock, _threshold_gaps, _threshold_labels, _whole,
+                  check_setting, make_setting)
 
 __all__ = [
     "ALGORITHMS",
@@ -173,23 +173,19 @@ def build_instance(config: ExperimentConfig, K: int, delta: float) -> Problem:
 
 def simple_regret(predicted: np.ndarray, truth: np.ndarray, gap_values: np.ndarray) -> float:
     """Largest gap among mislabeled arms; 0 when the classification is perfect."""
-    mismatch = np.asarray(predicted) != np.asarray(truth)
-    if not mismatch.any():
-        return 0.0
-    return float(np.max(np.asarray(gap_values)[mismatch]))
+    return float(_regrets(np.asarray(predicted) != np.asarray(truth), gap_values))
 
 
-def _truth(problem: Problem) -> Tuple[np.ndarray, np.ndarray]:
-    """The instance's true labels and gaps, which score every row run on it."""
-    return true_labels(problem).labels, gaps(problem).gaps
+def _regrets(mismatch: np.ndarray, gap_values) -> np.ndarray:
+    """Per row of ``mismatch``: the largest gap among its mismatched arms, 0 if there is none."""
+    return np.max(np.where(mismatch, gap_values, 0.0), axis=-1, initial=0.0)
 
 
-def _outcomes(truth: Tuple[np.ndarray, np.ndarray],
-              labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row of ``labels``: whether it erred against ``truth``, and its simple regret."""
-    right, gap_values = truth
-    mismatch = labels != right
-    return mismatch.any(axis=1), np.max(np.where(mismatch, gap_values, 0.0), axis=1)
+def _outcomes(problem: Problem, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of ``labels``: whether it mislabels a real arm of ``problem``, and its regret."""
+    means, tau = problem.original_means, problem.tau
+    mismatch = labels != _threshold_labels(means, tau)
+    return mismatch.any(axis=1), _regrets(mismatch, _threshold_gaps(means, tau))
 
 
 def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool, float]:
@@ -203,7 +199,7 @@ def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool
     problem = build_instance(config, config.K, config.delta)
     variates = VariateBlock(config.base_seed, rep_index, rep_index + 1)
     (res,) = algos.ALGORITHMS[algo].lockstep([problem], config.T, variates)
-    errs, regrets = _outcomes(_truth(problem), res.labels)
+    errs, regrets = _outcomes(problem, res.labels)
     return bool(errs[0]), float(regrets[0])
 
 
@@ -221,11 +217,11 @@ def _run_task(config: ExperimentConfig, start: int,
 
     A cell whose budget rule fails yields ``None``.  Budget rules depend
     only on the instance and ``T``, so every task skips the same cells.
-    Each algorithm walks all the cells that pass its rule in one lockstep call.
+    Each algorithm walks all the cells that pass its rule in one lockstep call, and each
+    cell is scored from its instance as its labels arrive, so a task keeps no truth arrays.
     """
     variates = VariateBlock(config.base_seed, start, stop)
     problems = [build_instance(config, K, delta) for K, delta in _grid(config)]
-    truths = [_truth(problem) for problem in problems]
     out = {}  # (grid point, algorithm) -> outcomes
     for name in config.algos:
         entry, kept = algos.ALGORITHMS[name], []
@@ -235,7 +231,7 @@ def _run_task(config: ExperimentConfig, start: int,
                 kept.append(g)
         results = entry.lockstep([problems[g] for g in kept], config.T, variates)
         for g, res in zip(kept, results):
-            out[g, name] = _outcomes(truths[g], res.labels)
+            out[g, name] = _outcomes(problems[g], res.labels)
     return [out.get(cell) for cell in product(range(len(problems)), config.algos)]
 
 

@@ -190,7 +190,9 @@ class TestConcavePerturb:
             concave_perturb(Problem(np.array([0.0, -1.0, 1.0]), 1.0, 0.0))
 
 
-_OUT_OF_DOMAIN = [dict(sigma=0.0), dict(sigma=-1.0), dict(delta_min=-0.1), dict(T=0), dict(K=0)]
+_OUT_OF_DOMAIN = [dict(sigma=0.0), dict(sigma=-1.0), dict(delta_min=-0.1), dict(T=0), dict(K=0),
+                  dict(sigma=math.nan), dict(sigma=math.inf), dict(delta_min=math.nan),
+                  dict(delta_min=math.inf)]
 
 
 @pytest.mark.parametrize("bound,inputs", [
@@ -205,7 +207,7 @@ def test_a_bound_refuses_inputs_out_of_its_domain(bound, inputs):
         bound(**args)
 
 
-@pytest.mark.parametrize("T,sigma", [(1, 1.0), (100, 0.0)])
+@pytest.mark.parametrize("T,sigma", [(1, 1.0), (100, 0.0), (100, math.nan), (100, math.inf)])
 def test_unstructured_bounds_refuse_inputs_out_of_their_domain(T, sigma):
     with pytest.raises(ValueError):
         unstructured_bounds([0.1, 0.2], T, sigma, 2)

@@ -250,6 +250,17 @@ class TestDispatch:
          "--sweep", "K", "--grid", "3,1000000000"],
         ["trace", "--setting", "1", "--algo", "explore", "--K", "1000000000000", "--T", "400",
          "--delta", "0.4"],
+        # Bound inputs that are not finite: NaN passes a `< 0` test, and an infinite sigma
+        # erases the rate term.
+        ["bounds", "--shape", "monotone", "--side", "lower", "--delta-min", "nan", "--T", "1000",
+         "--sigma", "1"],
+        ["bounds", "--shape", "monotone", "--side", "upper", "--K", "10", "--sigma", "nan",
+         "--delta-min", "0.1", "--T", "1000"],
+        ["bounds", "--shape", "monotone", "--side", "upper", "--K", "10", "--sigma", "inf",
+         "--delta-min", "0.1", "--T", "1000"],
+        ["bounds", "--shape", "concave", "--delta-min", "inf", "--T", "1000", "--K", "10"],
+        ["bounds", "--shape", "unstructured", "--gaps", "0.1,0.2", "--K", "2", "--T", "100",
+         "--sigma", "nan"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")

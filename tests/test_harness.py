@@ -1,12 +1,15 @@
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 import tbp.algos
-from tbp import ExperimentConfig, Setting, run_experiment, run_trial, wilson_interval, write_csv
-from tbp.harness import ALGORITHMS, CSV_HEADER, _row_line, plan_tasks, simple_regret
+from tbp import (ExperimentConfig, Problem, Setting, gaps, run_experiment, run_trial, true_labels,
+                 wilson_interval, write_csv)
+from tbp.harness import ALGORITHMS, CSV_HEADER, _outcomes, _row_line, plan_tasks, simple_regret
 
 
 def cfg(**overrides):
@@ -100,6 +103,43 @@ class TestSimpleRegret:
 
     def test_partial(self):
         assert simple_regret([1, 1, -1], [1, -1, -1], [0.5, 0.2, 0.9]) == 0.2
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tau=st.floats(-2, 2),
+    # A zero offset puts an arm exactly at tau, where the truth is +1 and the gap 0.
+    offsets=st.lists(st.one_of(st.just(0.0), st.floats(-5, 5)), min_size=1, max_size=40),
+    flips=st.lists(st.lists(st.booleans(), min_size=40, max_size=40), max_size=6),
+)
+def test_a_cell_is_scored_by_the_true_labels_and_gaps_of_its_instance(tau, offsets, flips):
+    problem = Problem([tau + x for x in offsets], 1.0, tau)
+    right, gap_values = true_labels(problem).labels, gaps(problem).gaps
+    # The all-correct row first, then rows with random arms flipped.
+    labels = right * np.where(np.array([[False] * 40, *flips])[:, :len(right)], -1, 1)
+    erred, regrets = _outcomes(problem, labels)
+    for row, e, regret in zip(labels, erred, regrets):
+        mismatch = row != right
+        assert e == mismatch.any()
+        assert regret == (gap_values[mismatch].max() if mismatch.any() else 0.0)
+        assert simple_regret(row, right, gap_values) == regret
+
+
+def test_a_sweep_keeps_its_instances_and_no_copies_of_them():
+    """A task scores each cell as its labels arrive: its traced peak stays within twice the
+    bytes of its instances' means, where one truth kept per grid point (int64 labels and
+    float64 gaps) took it past three times."""
+    grid = tuple(range(3, 1499, 5))
+    config = cfg(setting=Setting.S2_CONCAVE, K=3, T=6000, delta=0.3, reps=5, base_seed=3,
+                 sweep_param="K", sweep_values=grid)
+    run_experiment(config)  # first-use imports and caches stay out of the measurement
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sum(8 * K for K in grid) < 2
 
 
 class TestRunTrial:
