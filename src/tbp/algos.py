@@ -18,8 +18,8 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .env import (Classification, Problem, ShapeClass, VariateBlock, _band_labels,
-                  _threshold_labels, augment, shape_check)
+from .env import (Classification, Problem, ShapeClass, VariateBlock, _above, _band_labels,
+                  augment, shape_check)
 
 __all__ = [
     "Action", "StepRecord", "Trajectory", "AlgoResult", "BatchResult", "GradState", "BudgetError",
@@ -57,13 +57,25 @@ class BatchResult:
     Row ``j`` is replication ``start + j`` and holds what the scalar walker
     returns on a fresh ``RngStream(seed, start + j)``: ``k_hat`` (``None``
     for :func:`uniform_batch`; ``0`` in a :func:`ctb_batch` row where
-    :func:`ctb` returns ``None``), the ``+/-1`` labels of the original arms,
-    and the budget spent.
+    :func:`ctb` returns ``None``), the labels of the ``n`` original arms, and
+    the budget spent.  A tree search labels a band of arms above, so it keeps
+    only each row's band ends ``band = (l, r)`` (:func:`~tbp.env._band_labels`;
+    ``r`` may be the scalar ``n``); :func:`uniform_batch` keeps ``above``, one
+    ``bool`` per label.  :attr:`labels` builds the ``+/-1`` labels when read.
     """
 
     k_hat: Optional[np.ndarray]
-    labels: np.ndarray
     total_budget: np.ndarray
+    n: int
+    band: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    above: Optional[np.ndarray] = None
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The ``+/-1`` labels, one row per replication, built on each read."""
+        if self.band is None:
+            return np.where(self.above, 1, -1)
+        return _band_labels(self.n, *self.band)
 
 
 def budget_split(K: int, T: int) -> Tuple[int, int]:
@@ -146,10 +158,11 @@ def _segments(problem: Problem, k_hat: int) -> Tuple[Problem, Problem]:
             Problem(problem.means[k_hat - 1:], problem.sigma, problem.tau))
 
 
-def _uniform_labels(problem: Problem, n: int, z: np.ndarray) -> np.ndarray:
-    """:func:`uniform`'s labels for each row of ``z``, one variate per real arm."""
-    return _threshold_labels(problem.original_means + (problem.sigma / math.sqrt(n)) * z,
-                             problem.tau)
+def _uniform_estimates(problem: Problem, n: int, z: np.ndarray) -> np.ndarray:
+    """:func:`uniform`'s sample means for each row of ``z``, one variate per real arm."""
+    est = (problem.sigma / math.sqrt(n)) * z
+    est += problem.original_means
+    return est
 
 
 def _walking(t1: np.ndarray) -> np.ndarray:
@@ -219,8 +232,8 @@ def explore_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResu
     R, cursor = _bracket_walk(work.K, np.full(reps, t1), work.tau, work.sigma / math.sqrt(t2),
                               lambda arm, n: work.means[arm - 1], z, np.arange(reps),
                               np.zeros(reps, dtype=np.int64))
-    k_hat, labels = _crossing_labels(work, R)
-    return BatchResult(k_hat, labels, t2 * cursor)
+    n = work.n_original
+    return BatchResult(R - 1, t2 * cursor, n, band=(R - 1, n))
 
 
 def naive_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
@@ -241,21 +254,33 @@ def naive_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult
         inner = R > L + 1  # a leaf descends into its own duplicate
         L = np.where(inner & (est <= tau), M, L)
         R = np.where(inner & (est > tau), M, R)
-    k_hat, labels = _crossing_labels(work, R)
-    return BatchResult(k_hat, labels, n * cursor)
-
-
-def uniform_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
-    """:func:`uniform` for every replication of ``variates`` at once."""
-    n = _uniform_split(problem, T)
-    labels = _uniform_labels(problem, n, variates.prefix(problem.n_original))
-    return BatchResult(None, labels, np.full(variates.reps, n * problem.n_original, dtype=np.int64))
+    K = work.n_original
+    return BatchResult(R - 1, n * cursor, K, band=(R - 1, K))
 
 
 #: Most ``rows x T1`` elements one lockstep :func:`ctb` walk spans.  Its
 #: ``(rows, T1)`` int64 arrays, at most three alive at once, then take at
 #: most 2 MiB each; :func:`ctb_batch` splits its problems to stay under it.
+#: A row block of :func:`uniform_batch` and of its scoring spans as many arms.
 _CTB_ELEMENTS = 1 << 18
+
+
+def _row_blocks(rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of ``rows`` rows of ``width`` elements, each at most
+    ``_CTB_ELEMENTS`` elements or one row."""
+    step = max(1, _CTB_ELEMENTS // max(width, 1))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
+def uniform_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
+    """:func:`uniform` for every replication of ``variates``, thresholded in row blocks."""
+    n = _uniform_split(problem, T)
+    z = variates.prefix(problem.n_original)
+    above = np.empty(z.shape, dtype=bool)
+    for rows in _row_blocks(*z.shape):
+        _above(_uniform_estimates(problem, n, z[rows]), problem.tau, out=above[rows])
+    return BatchResult(None, np.full(variates.reps, n * problem.n_original, dtype=np.int64),
+                       problem.n_original, above=above)
 
 
 def _slopes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -385,10 +410,9 @@ def _ctb_walk(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], T:
     # The reversed segment means[k_hat - 1:][::-1]: arm a is original K + 2 - a.
     r[go] = K[go] + 2 - search(K[go] - kg + 3, fg + K[go] + 1, -1, cursor[go])
 
-    # Labels are built per cell as it is consumed: one cell's at a time.
     for i in np.argsort(order):
         rows = slice(i * reps, (i + 1) * reps)
-        yield BatchResult(k_hat[rows], _band_labels(Kc[i], l[rows], r[rows]), spent[rows])
+        yield BatchResult(k_hat[rows], spent[rows], int(Kc[i]), band=(l[rows], r[rows]))
 
 
 def ctb_batch(problems: Sequence[Problem], T: int, variates: VariateBlock) -> Iterator[BatchResult]:

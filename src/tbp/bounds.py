@@ -12,7 +12,7 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from .env import GapVector, Problem, ShapeClass, _concave, shape_check
+from .env import GapVector, Problem, ShapeClass, _concave, _enforce_float_concavity, shape_check
 
 __all__ = [
     "BoundReport",
@@ -117,8 +117,11 @@ def _gap_values(gap_vector: Union[GapVector, np.ndarray, list, tuple]) -> np.nda
 
 
 def unstructured_complexity(gap_vector: Union[GapVector, np.ndarray, list, tuple]) -> float:
-    """Sample-complexity measure ``sum over positive gaps of gap^-2``."""
+    """Sample-complexity measure ``sum over positive gaps of gap^-2``; refuses a NaN or
+    negative gap with ``ValueError``."""
     g = _gap_values(gap_vector)
+    if not np.all(g >= 0):  # NaN too
+        raise ValueError("gaps must be nonnegative numbers")
     positive = g[g > 0]
     return float(np.sum(positive**-2.0))
 
@@ -170,7 +173,7 @@ def adversarial_monotone_pair(
 def _verify_perturbation(mu: np.ndarray, mu2: np.ndarray, tau: float) -> bool:
     eps = 1e-9
     dmin = float(np.min(np.abs(mu - tau)))
-    if not _concave(mu2, tol=1e-12):  # (a)
+    if not _concave(mu2):  # (a), exactly as shape_check(CONCAVE) and so ctb test it
         return False
     if not np.any((mu >= tau) != (mu2 >= tau)):  # (b)
         return False
@@ -201,6 +204,9 @@ def concave_perturb(problem: Problem) -> Problem:
     against the four contract conditions (concavity, a flipped label, shifts
     bounded by three minimum gaps, gap ratios in [1/10, 3]); the first
     verified candidate is returned and failure of all candidates raises.
+    A candidate concave up to rounding has its middles raised by a few ulps
+    (as :func:`~tbp.env.make_setting` raises a tent's) before it is verified,
+    so the partner passes ``shape_check(CONCAVE)`` and :func:`~tbp.algos.ctb` runs on it.
     """
     if problem.sentinels is not None:
         raise ValueError("concave_perturb expects an un-augmented problem")
@@ -248,6 +254,9 @@ def concave_perturb(problem: Problem) -> Problem:
             candidates += [mu - s for s in uniform_shifts] + [mu - 2.0 * dmin]
 
     for cand in candidates:
-        if _verify_perturbation(mu, cand, 0.0):
-            return Problem(cand + tau, problem.sigma, tau)
+        if not _concave(cand, tol=1e-12):  # not concave by more than rounding
+            continue
+        cand = _enforce_float_concavity(cand + tau)
+        if _verify_perturbation(problem.means, cand, tau):
+            return Problem(cand, problem.sigma, tau)
     raise PerturbationError("no admissible perturbation found for this instance")

@@ -46,6 +46,8 @@ MAX_GRID_POINTS = 10_000
 #: Most arms, and most outcomes (reps x grid points x algorithms) a run may keep, both
 #: refused before any array is built: a task's variates are then at most 1,024 rows of
 #: 2 * MAX_K floats (160 MB), and a run's outcomes, a flag and a regret each, 90 MB.
+#: Labels take a byte each and are scored in row blocks, so a worker's peak is bounded
+#: by its variate block: 282 MB RSS for a uniform K sweep over 9999,10000 at 1,024 reps.
 MAX_K, MAX_OUTCOMES = 10_000, 10**7
 
 

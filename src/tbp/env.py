@@ -80,7 +80,7 @@ class Problem:
     ----------
     means : array-like of float
         Arm means, arm ``k`` at index ``k - 1``.  Non-sentinel means must be
-        finite.
+        finite, and so must their gaps ``|mean - tau|``.
     sigma : float
         Noise scale; samples of arm ``k`` are ``Normal(mu_k, sigma**2)``.
     tau : float
@@ -126,6 +126,11 @@ class Problem:
             interior = means
         if not np.all(np.isfinite(interior)):
             raise ValueError("non-sentinel means must be finite")
+        # The largest gap |mean - tau| is at the lowest or highest mean; a Python float
+        # overflows to inf without a warning.
+        lo, hi = float(np.min(interior)), float(np.max(interior))
+        if not math.isfinite(max(hi - self.tau, self.tau - lo)):
+            raise ValueError(f"a mean's gap to tau {self.tau!r} overflows")
 
     def derived(self, fn: Callable[..., Any], *args: Any) -> Any:
         """``fn(self, *args)``, computed on the first call and kept while the instance lives.
@@ -382,9 +387,14 @@ class VariateBlock:
         return self._block[:, :n]
 
 
+def _above(values, tau, out=None) -> np.ndarray:
+    """The threshold rule's predicate: whether each value is at or above ``tau``."""
+    return np.greater_equal(values, tau, out=out)
+
+
 def _threshold_labels(values, tau) -> np.ndarray:
     """The threshold rule: ``+1`` where a value is at or above ``tau``, else ``-1``."""
-    return np.where(values >= tau, 1, -1)
+    return np.where(_above(values, tau), 1, -1)
 
 
 def _threshold_gaps(values, tau) -> np.ndarray:

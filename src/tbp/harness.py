@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algos
-from .env import (Problem, Setting, VariateBlock, _threshold_gaps, _threshold_labels, _whole,
+from .env import (Problem, Setting, VariateBlock, _above, _threshold_gaps, _whole,
                   check_setting, make_setting)
 
 __all__ = [
@@ -53,7 +53,7 @@ CSV_HEADER = (
 _Z95 = 1.9599639845400536
 
 #: Most replications one task covers, which bounds a task's variate block
-#: and label arrays at this many rows times the widest cell.
+#: and kept labels at this many rows times the widest cell.
 _TASK_REPS = 1024
 
 
@@ -182,10 +182,52 @@ def _regrets(mismatch: np.ndarray, gap_values) -> np.ndarray:
 
 
 def _outcomes(problem: Problem, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row of ``labels``: whether it mislabels a real arm of ``problem``, and its regret."""
+    """Per row of ``labels`` (``+/-1``, or ``bool`` for above): whether it mislabels a real
+    arm of ``problem``, and its regret."""
     means, tau = problem.original_means, problem.tau
-    mismatch = labels != _threshold_labels(means, tau)
+    mismatch = (labels > 0) != _above(means, tau)
     return mismatch.any(axis=1), _regrets(mismatch, _threshold_gaps(means, tau))
+
+
+def _band_outcomes(values, tau, l, r) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the band rule's labels for arms ``l..r`` scored against the threshold rule.
+
+    Returns whether the row mislabels an arm of ``values`` and the largest gap
+    among the arms it mislabels (0 if none), as :func:`_outcomes` of
+    :func:`~tbp.env._band_labels` ``(values.size, l, r)`` would, without
+    building the labels: from prefix and suffix tables over the arms, so a
+    row costs O(1) when every band is a suffix (``r = n``) and one range
+    maximum otherwise.
+    """
+    n = values.size
+    above = _above(values, tau)
+    gap = _threshold_gaps(values, tau)
+    gap_above, gap_below = np.where(above, gap, 0.0), np.where(above, 0.0, gap)
+    count = np.concatenate(([0], np.cumsum(above)))  # arms above among 1..k
+    first = np.concatenate(([0.0], np.maximum.accumulate(gap_above)))  # largest above gap in 1..k
+    last = np.append(np.maximum.accumulate(gap_above[::-1])[::-1], 0.0)  # ... in k+1..n
+    # The band labels arms s+1..e above and the rest below, s <= e; an empty band has s == e.
+    s = np.clip(l - 1, 0, n)
+    e = np.clip(r, s, n)
+    above_out = count[s] + count[n] - count[e]
+    below_in = (e - s) - (count[e] - count[s])
+    if np.all(e == n):
+        inside = np.append(np.maximum.accumulate(gap_below[::-1])[::-1], 0.0)[s]
+    else:  # segment 2i of the interleaved ends is arms s_i+1..e_i; an empty one reads 0
+        inside = np.maximum.reduceat(np.append(gap_below, 0.0), np.stack([s, e], -1).ravel())[::2]
+        inside[s == e] = 0.0
+    return above_out + below_in > 0, np.maximum(np.maximum(first[s], last[e]), inside)
+
+
+def _scored(problem: Problem, res: algos.BatchResult) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_outcomes` of ``res.labels``, from a tree search's band ends or, in row
+    blocks, from :func:`~tbp.algos.uniform_batch`'s labels: no ``reps x K`` array is built."""
+    if res.band is not None:
+        return _band_outcomes(problem.original_means, problem.tau, *res.band)
+    erred, regrets = np.empty(res.above.shape[0], dtype=bool), np.empty(res.above.shape[0])
+    for rows in algos._row_blocks(*res.above.shape):
+        erred[rows], regrets[rows] = _outcomes(problem, res.above[rows])
+    return erred, regrets
 
 
 def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool, float]:
@@ -199,7 +241,7 @@ def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool
     problem = build_instance(config, config.K, config.delta)
     variates = VariateBlock(config.base_seed, rep_index, rep_index + 1)
     (res,) = algos.ALGORITHMS[algo].lockstep([problem], config.T, variates)
-    errs, regrets = _outcomes(problem, res.labels)
+    errs, regrets = _scored(problem, res)
     return bool(errs[0]), float(regrets[0])
 
 
@@ -231,7 +273,7 @@ def _run_task(config: ExperimentConfig, start: int,
                 kept.append(g)
         results = entry.lockstep([problems[g] for g in kept], config.T, variates)
         for g, res in zip(kept, results):
-            out[g, name] = _outcomes(problems[g], res.labels)
+            out[g, name] = _scored(problems[g], res)
     return [out.get(cell) for cell in product(range(len(problems)), config.algos)]
 
 

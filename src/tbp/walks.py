@@ -16,9 +16,10 @@ import numpy as np
 
 from . import algos
 from .algos import (ShapeError, _as_monotone_walk_problem, _crossing, _grad_split, _naive_split,
-                    _uniform_labels, _uniform_split, budget_split, ctb_check)
+                    _uniform_estimates, _uniform_split, budget_split, ctb_check)
 from .diagnostics import distance_series, favorable_series  # noqa: F401 (tbp.algos re-exports them)
-from .env import Classification, Problem, RngStream, ShapeClass, _band_labels, augment, shape_check
+from .env import (Classification, Problem, RngStream, ShapeClass, _band_labels, _threshold_labels,
+                  augment, shape_check)
 from .tree import Node, NodeViews
 
 
@@ -451,5 +452,6 @@ def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True)
 def uniform(problem: Problem, T: int, rng: RngStream) -> AlgoResult:
     """Sample each real arm ``floor(T / n_original)`` times and threshold the sample means."""
     n = _uniform_split(problem, T)
-    (labels,) = _uniform_labels(problem, n, rng.generator.standard_normal((1, problem.n_original)))
+    z = rng.generator.standard_normal(problem.n_original)
+    labels = _threshold_labels(_uniform_estimates(problem, n, z), problem.tau)
     return AlgoResult(None, Classification(labels), n * problem.n_original, None, problem)

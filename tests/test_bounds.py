@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 from tbp import (
     Problem,
+    Setting,
     ShapeClass,
     adversarial_monotone_pair,
     concave_lower,
     concave_perturb,
     concave_upper,
     gaps,
+    make_setting,
     monotone_lower,
     monotone_upper,
     shape_check,
@@ -18,7 +21,9 @@ from tbp import (
     unstructured_bounds,
     unstructured_complexity,
 )
+from tbp.algos import ctb_batch
 from tbp.bounds import _verify_perturbation
+from tbp.env import VariateBlock
 from conftest import random_concave_means, random_v_gaps
 
 
@@ -181,6 +186,17 @@ class TestConcavePerturb:
             assert np.max(np.abs(q.means - p.means)) <= 3 * dmin + 1e-9
             assert _verify_perturbation(p.means, q.means, 0.0)
 
+    @pytest.mark.parametrize("K", [5, 9, 21, 41])
+    def test_tent_partners_are_concave_and_run_under_ctb(self, K):
+        # Shifting a tent can round a midpoint an ulp above its middle mean.
+        for delta, tau in itertools.product((0.01, 0.03, 0.05, 0.1, 0.3), (0.0, 0.7, -3.1)):
+            tent = make_setting(Setting.S2_CONCAVE, K, delta, tau)
+            q = concave_perturb(tent)
+            assert shape_check(q, ShapeClass.CONCAVE), (delta, tau)
+            assert np.any(true_labels(q).labels != true_labels(tent).labels), (delta, tau)
+            (rows,) = ctb_batch([q], 3000, VariateBlock(1, 0, 2))
+            assert rows.labels.shape == (2, K)
+
     def test_rejects_all_below(self):
         with pytest.raises(ValueError):
             concave_perturb(Problem(np.array([-3.0, -1.0, -2.0]), 1.0, 0.0))
@@ -211,3 +227,11 @@ def test_a_bound_refuses_inputs_out_of_its_domain(bound, inputs):
 def test_unstructured_bounds_refuse_inputs_out_of_their_domain(T, sigma):
     with pytest.raises(ValueError):
         unstructured_bounds([0.1, 0.2], T, sigma, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -5.0, -math.inf, -1e-300])
+def test_unstructured_bounds_refuse_nan_and_negative_gaps(bad):
+    # Left in, such a gap would be dropped from H without a word.
+    for fn in (unstructured_complexity, lambda g: unstructured_bounds(g, 100, 1.0, 2)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            fn([bad, 0.2])

@@ -261,6 +261,12 @@ class TestDispatch:
         ["bounds", "--shape", "concave", "--delta-min", "inf", "--T", "1000", "--K", "10"],
         ["bounds", "--shape", "unstructured", "--gaps", "0.1,0.2", "--K", "2", "--T", "100",
          "--sigma", "nan"],
+        # Gaps that H would silently drop.
+        ["bounds", "--shape", "unstructured", "--gaps", "nan,0.2", "--K", "2", "--T", "100"],
+        ["bounds", "--shape", "unstructured", "--gaps=-5,0.2", "--K", "2", "--T", "100"],
+        # Finite means whose gap |mean - tau| overflows.
+        ["run", "--setting", "custom", "--means=-1.7e308,1.7e308", "--tau", "1e308",
+         "--sigma", "1e308", "--algo", "uniform", "--T", "100", "--reps", "20"],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")
@@ -280,6 +286,17 @@ class TestDispatch:
                 with pytest.raises(SystemExit):
                     parser.parse_args(argv)
         capsys.readouterr()
+
+    def test_a_tent_partner_runs_under_ctb(self, capsys):
+        # The concave lower-bound pair of a tent, its partner's means written out in full.
+        from tbp import Setting, concave_perturb, make_setting
+        partner = concave_perturb(make_setting(Setting.S2_CONCAVE, 5, 0.01, 0.0))
+        means = ",".join(repr(float(m)) for m in partner.means)
+        code, out, err = run_cli(capsys, "run", "--setting", "custom", f"--means={means}",
+                                 "--algo", "ctb,uniform", "--T", "3000", "--reps", "3",
+                                 "--threads", "1")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 4  # comment, header, one row per algorithm
 
     def test_shape_violation_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "run", "--setting", "custom", "--means=0.5,-0.1,0.2",

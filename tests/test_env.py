@@ -253,6 +253,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             P([1.0, math.inf])
 
+    @pytest.mark.parametrize("means,tau", [([-1.7e308, 1.7e308], 1e308), ([1.7e308], -1e308)])
+    def test_problem_rejects_a_gap_that_overflows(self, means, tau):
+        # Each mean is finite, but |mean - tau| is inf: an error on it would score inf regret.
+        with pytest.raises(ValueError, match="overflows"):
+            P(means, tau=tau)
+        P([1.7e308, -1e308], tau=0.0)  # every gap finite
+
     def test_problem_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             P([1.0], sigma=-1.0)

@@ -7,9 +7,11 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import tbp.algos
-from tbp import (ExperimentConfig, Problem, Setting, gaps, run_experiment, run_trial, true_labels,
-                 wilson_interval, write_csv)
-from tbp.harness import ALGORITHMS, CSV_HEADER, _outcomes, _row_line, plan_tasks, simple_regret
+from tbp import (ExperimentConfig, Problem, Setting, gaps, make_setting, run_experiment, run_trial,
+                 true_labels, wilson_interval, write_csv)
+from tbp.env import VariateBlock, _band_labels
+from tbp.harness import (ALGORITHMS, CSV_HEADER, _band_outcomes, _outcomes, _row_line, _scored,
+                         plan_tasks, simple_regret)
 
 
 def cfg(**overrides):
@@ -123,6 +125,72 @@ def test_a_cell_is_scored_by_the_true_labels_and_gaps_of_its_instance(tau, offse
         assert e == mismatch.any()
         assert regret == (gap_values[mismatch].max() if mismatch.any() else 0.0)
         assert simple_regret(row, right, gap_values) == regret
+
+
+@st.composite
+def bands(draw):
+    """An instance with arms at tau, and band ends (l, r) as the tree searches return them."""
+    tau = draw(st.sampled_from([0.0, -1.5, 2.25]))
+    offsets = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.5, 0.5, 3.0]), st.floats(-5, 5)),
+                            min_size=1, max_size=30))
+    n = len(offsets)
+    rows = draw(st.integers(1, 12))
+    # explore/naive: a suffix l..n, l = n + 1 when every arm is labelled below.
+    l = draw(st.lists(st.integers(1, n + 1), min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        return Problem([tau + x for x in offsets], 1.0, tau), np.array(l), n
+    # ctb: any band, empty ones (l > r: l = n + 1, r = 0) included.
+    r = draw(st.lists(st.integers(0, n), min_size=rows, max_size=rows))
+    return Problem([tau + x for x in offsets], 1.0, tau), np.array(l), np.array(r)
+
+
+@settings(max_examples=400, deadline=None)
+@given(band=bands())
+def test_a_band_is_scored_from_its_ends_as_its_labels_are(band):
+    problem, l, r = band
+    want = _outcomes(problem, _band_labels(problem.K, l, r))
+    got = _band_outcomes(problem.means, problem.tau, l, r)
+    for row, (w, g) in enumerate(zip(want, got)):
+        assert g.dtype == w.dtype and np.array_equal(g, w), (row, l, r)
+
+
+@pytest.mark.parametrize("problem", [
+    make_setting(Setting.S2, 40, 0.15, 0.3, 1.0),  # small gaps: many rows err
+    make_setting(Setting.S1, 33, 0.1, 0.0, 1.0),
+    make_setting(Setting.S2_CONCAVE, 21, 0.05, -1.0, 1.0),
+    Problem([-1.0, -0.2, 0.0, 0.0, 0.3, 2.0], 1.0, 0.0),  # arms at tau
+    Problem([-1.0, 0.0, 0.4, 0.0, -1.0], 1.0, 0.0),  # a concave one with arms at tau
+], ids=["s2", "s1", "tent", "ties", "concave-ties"])
+def test_every_lockstep_cell_is_scored_as_its_labels(monkeypatch, problem):
+    monkeypatch.setattr(tbp.algos, "_CTB_ELEMENTS", 100)  # several uniform row blocks
+    for name in ALGORITHMS:
+        entry = tbp.algos.ALGORITHMS[name]
+        try:
+            entry.check(problem, 3000)
+        except ValueError:
+            continue
+        (res,) = entry.lockstep([problem], 3000, VariateBlock(11, 3, 40))
+        erred, regrets = _scored(problem, res)
+        want_erred, want_regrets = _outcomes(problem, res.labels)
+        assert np.array_equal(erred, want_erred) and np.array_equal(regrets, want_regrets), name
+
+
+def test_tree_search_cells_build_no_label_matrix():
+    """explore, naive and ctb cells at K = 5,001 over 1,024 replications are scored from band
+    ends: a task's traced peak stays under 12 MB, where one cell's int64 labels took 41 MB and
+    scoring them as many again."""
+    runs = [cfg(setting=Setting.S2, algos=("explore", "naive"), K=5001, T=200_000, delta=0.1),
+            cfg(setting=Setting.S2_CONCAVE, algos=("ctb",), K=5001, T=6000, delta=0.001)]
+    for config in runs:
+        config = ExperimentConfig(**{**config.__dict__, "reps": 1024})
+        tracemalloc.start()
+        try:
+            rows = run_experiment(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(row.skipped for row in rows)
+        assert peak < 12 * 2**20, (config.algos, peak)
 
 
 def test_a_sweep_keeps_its_instances_and_no_copies_of_them():
