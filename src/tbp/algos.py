@@ -98,8 +98,16 @@ def max_depth(K: int) -> int:
     return K.bit_length()  # == floor(log2(K)) + 1 for K >= 1
 
 
+def _explore_split(K: int, T: int) -> Tuple[int, int, int]:
+    """Prefix width ``3 T1`` of one :func:`explore` replication (at most three variates per
+    step) and ``(T1, T2) = budget_split(K, T)``."""
+    t1, t2 = budget_split(K, T)
+    return 3 * t1, t1, t2
+
+
 def _naive_split(K: int, T: int) -> Tuple[int, int]:
-    """Walk length ``H = max_depth(K)`` and per-step draws ``floor(T / H)`` of :func:`naive`."""
+    """Walk length ``H = max_depth(K)``, also the prefix width of one replication (at most one
+    variate per step), and per-step draws ``floor(T / H)`` of :func:`naive`."""
     H = max_depth(K)
     n = T // H
     if n < 1:
@@ -116,12 +124,13 @@ def _grad_split(K: int, budget: int) -> Tuple[int, int]:
     raise BudgetError(f"budget {budget} too small: need floor(budget / T1) >= 12")
 
 
-def _uniform_split(problem: Problem, T: int) -> int:
-    """Per-arm draws ``floor(T / K)`` of :func:`uniform` over the ``K`` real arms of ``problem``."""
+def _uniform_split(problem: Problem, T: int) -> Tuple[int, int]:
+    """The ``K`` real arms of ``problem``, also the prefix width of one :func:`uniform`
+    replication (one variate per arm), and per-arm draws ``floor(T / K)``."""
     K = problem.n_original
     if T < K:
         raise BudgetError(f"budget {T} too small: need T >= K = {K}")
-    return T // K
+    return K, T // K
 
 
 def _as_monotone_walk_problem(problem: Problem, check_shape: bool) -> Problem:
@@ -160,8 +169,10 @@ def _segments(problem: Problem, k_hat: int) -> Tuple[Problem, Problem]:
 
 def _uniform_estimates(problem: Problem, n: int, z: np.ndarray) -> np.ndarray:
     """:func:`uniform`'s sample means for each row of ``z``, one variate per real arm."""
-    est = (problem.sigma / math.sqrt(n)) * z
-    est += problem.original_means
+    # No gap |mu - tau| overflows (Problem refuses it), so an overflowed mean is on its arm's side.
+    with np.errstate(over="ignore"):
+        est = (problem.sigma / math.sqrt(n)) * z
+        est += problem.original_means
     return est
 
 
@@ -226,8 +237,8 @@ def explore_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResu
     Raises before reading any variate when the shape or budget rule fails.
     """
     work = _as_monotone_walk_problem(problem, True)
-    t1, t2 = budget_split(work.K, T)
-    z = variates.prefix(3 * t1)
+    width, t1, t2 = _explore_split(work.K, T)
+    z = variates.prefix(width)
     reps = variates.reps
     R, cursor = _bracket_walk(work.K, np.full(reps, t1), work.tau, work.sigma / math.sqrt(t2),
                               lambda arm, n: work.means[arm - 1], z, np.arange(reps),
@@ -274,13 +285,12 @@ def _row_blocks(rows: int, width: int) -> Iterator[slice]:
 
 def uniform_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
     """:func:`uniform` for every replication of ``variates``, thresholded in row blocks."""
-    n = _uniform_split(problem, T)
-    z = variates.prefix(problem.n_original)
+    K, n = _uniform_split(problem, T)
+    z = variates.prefix(K)
     above = np.empty(z.shape, dtype=bool)
     for rows in _row_blocks(*z.shape):
         _above(_uniform_estimates(problem, n, z[rows]), problem.tau, out=above[rows])
-    return BatchResult(None, np.full(variates.reps, n * problem.n_original, dtype=np.int64),
-                       problem.n_original, above=above)
+    return BatchResult(None, np.full(variates.reps, n * K, dtype=np.int64), K, above=above)
 
 
 def _slopes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -433,13 +443,18 @@ def ctb_batch(problems: Sequence[Problem], T: int, variates: VariateBlock) -> It
     return _ctb_groups(problems, splits, T, variates)
 
 
+def _ctb_width(t1: int) -> int:
+    """Prefix width ``12 T1`` of one :func:`ctb` replication whose slope walk takes ``t1``
+    steps: each phase draws at most six (slope walk) or three variates per step, over at
+    most ``T1`` steps, as the sub-instances are no longer than the instance."""
+    return 12 * t1
+
+
 def _ctb_groups(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], T: int,
                 variates: VariateBlock) -> Iterator[BatchResult]:
     if not problems:
         return
-    # Each phase draws at most six (slope walk) or three variates per step,
-    # over at most T1 steps: the sub-instances are no longer than the instance.
-    z = variates.prefix(12 * max(t1 for t1, _ in splits))
+    z = variates.prefix(max(_ctb_width(t1) for t1, _ in splits))
     start = 0
     while start < len(problems):
         stop, t1 = start + 1, splits[start][0]
@@ -454,7 +469,9 @@ def _ctb_groups(problems: Sequence[Problem], splits: Sequence[Tuple[int, int]], 
 class Algorithm(NamedTuple):
     """One entry of :data:`ALGORITHMS`; a part the algorithm lacks is ``None``."""
 
-    check: Optional[Callable] = None  # (problem, T): raises what the walk raises before a draw
+    #: ``(problem, T)``: raises what the walk raises before a draw, else returns the
+    #: prefix width one replication of the walk reads
+    check: Optional[Callable] = None
     lockstep: Optional[Callable] = None  # (problems, T, variates): a BatchResult per problem
     trace: Optional[Callable] = None  # (problem, T, rng): the scalar walk's Trajectory
 
@@ -464,16 +481,19 @@ class Algorithm(NamedTuple):
 #: and the recorded walkers load only when a trace first calls one.
 ALGORITHMS = {
     "explore": Algorithm(
-        lambda p, T: budget_split(_as_monotone_walk_problem(p, True).K, T),
+        lambda p, T: _explore_split(_as_monotone_walk_problem(p, True).K, T)[0],
         lambda ps, T, v: (explore_batch(p, T, v) for p in ps),
         lambda p, T, rng: _this.explore(p, T, rng).trajectory),
     "dexplore": Algorithm(trace=lambda p, T, rng: _this.dexplore(p, T, rng).trajectory),
     "naive": Algorithm(
-        lambda p, T: _naive_split(_as_monotone_walk_problem(p, True).K, T),
+        lambda p, T: _naive_split(_as_monotone_walk_problem(p, True).K, T)[0],
         lambda ps, T, v: (naive_batch(p, T, v) for p in ps),
         lambda p, T, rng: _this.naive(p, T, rng).trajectory),
     "gradexplore": Algorithm(trace=lambda p, T, rng: _this.gradexplore(p, T, rng)[1]),
-    "uniform": Algorithm(_uniform_split, lambda ps, T, v: (uniform_batch(p, T, v) for p in ps)),
-    "ctb": Algorithm(ctb_check, lambda ps, T, v: ctb_batch(ps, T, v),
-                     lambda p, T, rng: _this.ctb(p, T, rng).trajectory),
+    "uniform": Algorithm(lambda p, T: _uniform_split(p, T)[0],
+                         lambda ps, T, v: (uniform_batch(p, T, v) for p in ps)),
+    "ctb": Algorithm(
+        lambda p, T: _ctb_width(ctb_check(p, T)[0]),
+        lambda ps, T, v: ctb_batch(ps, T, v),
+        lambda p, T, rng: _this.ctb(p, T, rng).trajectory),
 }

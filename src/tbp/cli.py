@@ -44,10 +44,11 @@ _SHAPES = {
 #: any value is built, so ``--grid 0:1e9:1e-9`` is refused at once.
 MAX_GRID_POINTS = 10_000
 #: Most arms, and most outcomes (reps x grid points x algorithms) a run may keep, both
-#: refused before any array is built: a task's variates are then at most 1,024 rows of
-#: 2 * MAX_K floats (160 MB), and a run's outcomes, a flag and a regret each, 90 MB.
-#: Labels take a byte each and are scored in row blocks, so a worker's peak is bounded
-#: by its variate block: 282 MB RSS for a uniform K sweep over 9999,10000 at 1,024 reps.
+#: refused before any array is built: a task's variates, drawn once at the widest prefix
+#: its cells read, are then at most 1,024 rows of MAX_K floats (82 MB), and a run's
+#: outcomes, a flag and a regret each, 90 MB.  Labels take a byte each and are scored in
+#: row blocks, so a worker's peak is bounded by its variate block: 136 MB RSS for a
+#: uniform K sweep over 9999,10000 at 1,024 reps.
 MAX_K, MAX_OUTCOMES = 10_000, 10**7
 
 
@@ -342,8 +343,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_tree(args: argparse.Namespace) -> int:
     from . import tree  # only this verb uses it; the sweep path never loads it
 
-    if args.K is None or args.K < 3:
-        raise ConfigError("--K must be >= 3")
+    if args.K is None or not 3 <= args.K <= MAX_K:
+        raise ConfigError(f"--K must be between 3 and {MAX_K}")
     for line in tree.dump_lines(args.K):
         print(line)
     return 0

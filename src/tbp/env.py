@@ -325,10 +325,12 @@ class VariateBlock:
     seed's words and the spawn key ``(i,)``, then PCG64's seeding, in one
     ``uint32`` array pass over every ``i``.  A block reaching past ``2**32``,
     where a spawn key takes more words, asks numpy for each stream's state.
-    Rows are drawn by setting one shared PCG64 to their states.  A caller
-    needing a longer prefix grows the block: every row is redrawn at least
-    twice as wide, so ``k`` ascending requests cost ``O(log k)`` growths and
-    the block is never wider than twice the longest prefix requested.
+    Rows are drawn by setting one shared PCG64 to their states.  The harness
+    asks once, for the widest prefix its task reads, so later requests are
+    slices.  A library caller needing a longer prefix grows the block: every
+    row is redrawn at least twice as wide, so ``k`` ascending requests cost
+    ``O(log k)`` growths and the block is never wider than twice the longest
+    prefix requested.
     """
 
     def __init__(self, seed: int, start: int, stop: int) -> None:

@@ -259,20 +259,25 @@ def _run_task(config: ExperimentConfig, start: int,
 
     A cell whose budget rule fails yields ``None``.  Budget rules depend
     only on the instance and ``T``, so every task skips the same cells.
-    Each algorithm walks all the cells that pass its rule in one lockstep call, and each
-    cell is scored from its instance as its labels arrive, so a task keeps no truth arrays.
+    Every cell is checked first, and the block is drawn once, at the widest prefix a
+    checked cell reads, so no walk grows it.  Each algorithm walks all the cells that pass
+    its rule in one lockstep call, and each cell is scored from its instance as its labels
+    arrive, so a task keeps no truth arrays.
     """
-    variates = VariateBlock(config.base_seed, start, stop)
     problems = [build_instance(config, K, delta) for K, delta in _grid(config)]
-    out = {}  # (grid point, algorithm) -> outcomes
+    kept, widest = {}, 0  # algorithm -> grid points that pass its rule; their widest prefix
     for name in config.algos:
-        entry, kept = algos.ALGORITHMS[name], []
+        kept[name] = []
         for g, problem in enumerate(problems):
             with suppress(algos.BudgetError):
-                entry.check(problem, config.T)
-                kept.append(g)
-        results = entry.lockstep([problems[g] for g in kept], config.T, variates)
-        for g, res in zip(kept, results):
+                widest = max(widest, algos.ALGORITHMS[name].check(problem, config.T))
+                kept[name].append(g)
+    variates = VariateBlock(config.base_seed, start, stop)
+    variates.prefix(widest)  # draws nothing when every cell is skipped
+    out = {}  # (grid point, algorithm) -> outcomes
+    for name, cells in kept.items():
+        results = algos.ALGORITHMS[name].lockstep([problems[g] for g in cells], config.T, variates)
+        for g, res in zip(cells, results):
             out[g, name] = _scored(problems[g], res)
     return [out.get(cell) for cell in product(range(len(problems)), config.algos)]
 

@@ -451,7 +451,7 @@ def naive(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = True)
 
 def uniform(problem: Problem, T: int, rng: RngStream) -> AlgoResult:
     """Sample each real arm ``floor(T / n_original)`` times and threshold the sample means."""
-    n = _uniform_split(problem, T)
-    z = rng.generator.standard_normal(problem.n_original)
+    K, n = _uniform_split(problem, T)
+    z = rng.generator.standard_normal(K)
     labels = _threshold_labels(_uniform_estimates(problem, n, z), problem.tau)
-    return AlgoResult(None, Classification(labels), n * problem.n_original, None, problem)
+    return AlgoResult(None, Classification(labels), n * K, None, problem)

@@ -267,6 +267,8 @@ class TestDispatch:
         # Finite means whose gap |mean - tau| overflows.
         ["run", "--setting", "custom", "--means=-1.7e308,1.7e308", "--tau", "1e308",
          "--sigma", "1e308", "--algo", "uniform", "--T", "100", "--reps", "20"],
+        # A tree of more arms than any instance may have.
+        ["tree", "--K", str(MAX_K + 1)],
     ])
     def test_unhonourable_values_are_config_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--threads", "1")
@@ -320,6 +322,19 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "0,1,3,5,0"
+
+
+def test_an_overflowing_sample_mean_warns_nothing(capsys):
+    # sigma * z overflows to an infinity on the side of tau its arm's mean is on, so the labels
+    # are exact; no gap overflows, which the instance check would refuse.
+    argv = ["run", "--setting", "custom", "--means=-1.7e308,1.7e308", "--tau", "0",
+            "--sigma", "1e308", "--algo", "uniform", "--T", "100", "--reps", "20", "--threads", "1"]
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "tbp", *argv],
+                            capture_output=True, text=True, timeout=60)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (result.returncode, result.stderr, code) == (0, "", 0)
+    assert result.stdout == out
+    assert out.splitlines()[-1].split(",")[8] == "0"  # no replication errs
 
 
 @pytest.fixture(autouse=True)

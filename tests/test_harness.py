@@ -7,6 +7,7 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 import tbp.algos
+import tbp.harness
 from tbp import (ExperimentConfig, Problem, Setting, gaps, make_setting, run_experiment, run_trial,
                  true_labels, wilson_interval, write_csv)
 from tbp.env import VariateBlock, _band_labels
@@ -208,6 +209,68 @@ def test_a_sweep_keeps_its_instances_and_no_copies_of_them():
     finally:
         tracemalloc.stop()
     assert peak / sum(8 * K for K in grid) < 2
+
+
+def recorded_blocks(monkeypatch):
+    """The variate blocks the harness builds from now on, each recording the widths it draws."""
+    blocks = []
+
+    class Recording(VariateBlock):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.draws = []
+            blocks.append(self)
+
+        def prefix(self, n):
+            if n > self._block.shape[1]:
+                self.draws.append(n)
+            return super().prefix(n)
+
+    monkeypatch.setattr(tbp.harness, "VariateBlock", Recording)
+    return blocks
+
+
+@pytest.mark.parametrize("overrides,width", [
+    # uniform reads K = 100; explore 3 T1 = 84 and naive H = 7 are slices of it.
+    (dict(setting=Setting.S1, algos=("explore", "naive", "uniform"), K=100, T=1000), 100),
+    # uniform (K = 100 > T) is skipped, so explore's 84 is the widest.
+    (dict(setting=Setting.S1, algos=("explore", "naive", "uniform"), K=100, T=90), 84),
+    # ctb at K = 2,500 reads 12 T1 = 564; uniform's 2,500 arms exceed T and are skipped.
+    (dict(setting=Setting.S2_CONCAVE, algos=("ctb", "uniform"), K=10, T=2000, delta=0.3,
+          sweep_param="K", sweep_values=(10, 100, 2500)), 564),
+], ids=["delta-uniform-widest", "delta-uniform-skipped", "K-ctb-uniform"])
+def test_each_task_draws_its_block_once_at_the_widest_checked_width(monkeypatch, overrides,
+                                                                   width):
+    monkeypatch.setattr(tbp.harness, "_TASK_REPS", 4)
+    blocks = recorded_blocks(monkeypatch)
+    overrides = {"sweep_param": "delta", "sweep_values": (0.1, 0.3, 0.5), **overrides}
+    rows = run_experiment(cfg(reps=10, **overrides))
+    assert [(b.start, b.stop) for b in blocks] == [(0, 4), (4, 8), (8, 10)]
+    for block in blocks:
+        assert block.draws == [width] and block._block.shape[1] == width
+    assert not all(row.skipped for row in rows)
+
+
+def test_a_task_whose_cells_are_all_skipped_draws_nothing(monkeypatch):
+    blocks = recorded_blocks(monkeypatch)
+    config = cfg(setting=Setting.S1, algos=("explore", "naive", "uniform"), K=100, T=5, delta=0.2)
+    assert all(row.skipped for row in run_experiment(config))
+    (block,) = blocks
+    assert block._generators is None and block.draws == []
+
+
+def test_a_task_draws_no_second_block():
+    """A uniform K sweep over 2,999 and 3,000 arms at 1,024 replications draws one 1,024 x 3,000
+    float64 block: its traced peak stays under 1.5 such blocks, where growing the block to 5,998
+    columns with the narrower one alive took 3."""
+    config = cfg(K=2999, T=6000, delta=0.1, reps=1024, sweep_param="K", sweep_values=(2999, 3000))
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 1024 * 3000, peak
 
 
 class TestRunTrial:

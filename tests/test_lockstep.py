@@ -272,6 +272,36 @@ def test_uniform_on_an_augmented_twin_is_uniform_on_the_instance(shape):
     assert np.array_equal(rows.labels, [raw.q_hat.labels]) and rows.total_budget.tolist() == [600]
 
 
+class RecordingBlock(VariateBlock):
+    """A :class:`VariateBlock` that records every prefix width it is asked for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.requests = []
+
+    def prefix(self, n):
+        self.requests.append(n)
+        return super().prefix(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=st.one_of(instances(), concave_instances(),
+                         instances().map(lambda p: augment(p, ShapeClass.MONOTONE))),
+       scale=st.sampled_from([1, 2, 10]), slack=st.integers(0, 30))
+def test_check_returns_the_widest_prefix_its_walker_reads(problem, scale, slack):
+    for name, entry in ALGORITHMS.items():
+        if not entry.lockstep:
+            continue
+        T = scale * budget_floor(name, problem.K) + slack
+        try:
+            width = entry.check(problem, T)
+        except ValueError:  # a budget or shape rule fails, or ctb refuses an augmented twin
+            continue
+        block = RecordingBlock(5, 0, 3)
+        list(entry.lockstep([problem], T, block))
+        assert max(block.requests) == width, name
+
+
 #: The recorded walker of every algorithm with a lockstep walker.
 SCALAR = {"explore": explore, "naive": naive, "uniform": uniform, "ctb": ctb}
 
