@@ -176,59 +176,86 @@ def _uniform_estimates(problem: Problem, n: int, z: np.ndarray) -> np.ndarray:
     return est
 
 
-def _walking(t1: np.ndarray) -> np.ndarray:
-    """Rows still walking at each step, for ``t1`` sorted longest first: they are a prefix."""
-    return np.searchsorted(-t1, -np.arange(int(t1[0]) if t1.size else 0), side="left")
+class _Descent:
+    """The state every lockstep tree walk shares: each row's node ``(L, R)``, depth, ancestor
+    stack and variate cursor.
+
+    Row ``j`` starts at the root ``(1, K[j])`` and walks ``t1[j]`` steps, ``t1`` sorted
+    longest first.  It reads its variates from ``z[zrow[j]]`` starting at ``cursor[j]``, and
+    ``mean_at(arm, n)`` returns the true means of ``arm`` for rows ``0..n`` as a new array.
+    ``K``, ``scale`` and ``cursor`` may be scalars.
+    """
+
+    def __init__(self, K, t1: np.ndarray, scale, mean_at: Callable, z: np.ndarray,
+                 zrow: np.ndarray, cursor=0) -> None:
+        rows, steps = t1.size, int(t1[0]) if t1.size else 0
+        self.walking = np.searchsorted(-t1, -np.arange(steps))  # rows walking at each step
+        self.mean_at, self.z, self.zrow = mean_at, z, zrow
+        self.scale = np.broadcast_to(scale, (rows,))
+        self.L, self.R = np.ones(rows, dtype=np.int64), np.full(rows, K, dtype=np.int64)
+        self.cursor = np.full(rows, cursor, dtype=np.int64)
+        self.depth = np.zeros(rows, dtype=np.int64)
+        # Row j's ancestors are stack_l/stack_r[base[j]:base[j] + depth[j]], the parent last.
+        self.steps, self.base = steps, np.arange(rows) * steps
+        self.stack_l = np.empty(rows * steps, dtype=np.int64)
+        self.stack_r = np.empty(rows * steps, dtype=np.int64)
+
+    def __iter__(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+        """Each step's number ``n`` of walking rows, a prefix, and views of their ``L`` and
+        ``R``.  An overflowing draw is an infinity, as in the scalar walkers, with no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in self.walking:
+                self._rows = self.zrow[:n], self.cursor[:n], self.scale[:n]
+                yield n, self.L[:n], self.R[:n]
+
+    def draw(self, arm: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """The walking rows' estimates of the slot on ``arm``: where ``draws``, its mean plus
+        the noise of the next variate, which the cursor then passes; else its exact mean."""
+        zrow, cursor, scale = self._rows
+        noise = self.z[zrow, cursor] * draws  # zero where the slot does not draw
+        noise *= scale
+        cursor += draws
+        return self.mean_at(arm, cursor.size) + noise
+
+    def move(self, M: np.ndarray, down: np.ndarray, right: np.ndarray, up: np.ndarray) -> None:
+        """Push the node of each ``down`` row and descend to ``(M, R)`` where ``right``, else to
+        ``(L, M)``; pop the parent of each other ``up`` row below the root."""
+        n = M.size
+        l, r, depth = self.L[:n], self.R[:n], self.depth[:n]
+        # Every row writes its node above its stack's top; the down rows then keep it.
+        at = self.base[:n] + depth
+        self.stack_l[at], self.stack_r[at] = l, r
+        depth += down
+        np.copyto(l, M, where=down & right)
+        np.copyto(r, M, where=down & ~right)
+        rows = (up & (depth > 0)).nonzero()[0]
+        depth[rows] -= 1
+        at = self.base[rows] + depth[rows]
+        l[rows], r[rows] = self.stack_l[at], self.stack_r[at]
 
 
 def _bracket_walk(K, t1: np.ndarray, tau, scale, mean_at: Callable, z: np.ndarray,
-                  zrow: np.ndarray, cursor: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`explore`'s walk for every row at once.
+                  zrow: np.ndarray, cursor=0) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`explore`'s walk for every row at once, rows as in :class:`_Descent`.
 
-    Row ``r`` walks the tree over ``K[r]`` augmented arms, whose sentinels
-    are arms ``1`` and ``K[r]``, for ``t1[r]`` steps; ``t1`` is sorted longest
-    first.  It reads its variates from ``z[zrow[r]]`` starting at
-    ``cursor[r]``, one per distinct non-sentinel arm of its node in slot
-    order, and ``mean_at(arm, n)`` gives the true means of ``arm`` for rows
-    ``0..n``.  ``K``, ``tau`` and ``scale`` may be scalars.  A leaf's
-    duplicate descent pushes the same ``(L, R)``; ``PARENT`` pops, and the
-    root stays put.  Returns each row's final ``R`` and its cursor.
+    Row ``j`` walks the tree over ``K[j]`` augmented arms, whose sentinels
+    are arms ``1`` and ``K[j]``, reading one variate per distinct
+    non-sentinel arm of its node in slot order.  ``tau`` may be a scalar.
+    Returns each row's final ``R`` and its cursor.
     """
-    rows = cursor.size
-    K, tau, scale = (np.broadcast_to(x, (rows,)) for x in (K, tau, scale))
-    L = np.ones(rows, dtype=np.int64)
-    R = K.astype(np.int64)
-    depth = np.zeros(rows, dtype=np.int64)
-    cursor = cursor.copy()
-    steps = int(t1[0]) if rows else 0
-    stack_l = np.empty((rows, steps), dtype=np.int64)
-    stack_r = np.empty((rows, steps), dtype=np.int64)
-    for n in _walking(t1):
-        # Views of the walking rows: writes through them update the state.
-        l, r, c, zr, sc, tn = L[:n], R[:n], cursor[:n], zrow[:n], scale[:n], tau[:n]
+    walk = _Descent(K, t1, scale, mean_at, z, zrow, cursor)
+    K, tau = (np.broadcast_to(x, t1.shape) for x in (K, tau))
+    for n, l, r in walk:
+        tn = tau[:n]
         M = (l + r) // 2
         leaf = M == l  # slots l and m share one arm, hence one estimate
-        # Sentinels are exact infinities, unmoved by the variate they skip;
-        # only l can be arm 1 and only r can be arm K.
-        ml = mean_at(l, n) + sc * z[zr, c]
-        c += l > 1
-        mm = np.where(leaf, ml, mean_at(M, n) + sc * z[zr, c])
-        c += ~leaf
-        mr = mean_at(r, n) + sc * z[zr, c]
-        c += r < K[:n]
+        # Sentinels are exact infinities: only l can be arm 1 and only r can be arm K.
+        ml = walk.draw(l, l > 1)
+        mm = np.where(leaf, ml, walk.draw(M, ~leaf))
+        mr = walk.draw(r, r < K[:n])
         bracket = (ml <= tn) & (tn <= mr)
-        right = bracket & (mm <= tn)
-        down = np.flatnonzero(bracket)
-        stack_l[down, depth[down]] = l[down]
-        stack_r[down, depth[down]] = r[down]
-        depth[down] += 1
-        np.copyto(l, M, where=right)
-        np.copyto(r, M, where=bracket & ~right)
-        up = np.flatnonzero(~bracket & (depth[:n] > 0))
-        depth[up] -= 1
-        l[up] = stack_l[up, depth[up]]
-        r[up] = stack_r[up, depth[up]]
-    return R, cursor
+        walk.move(M, bracket, mm <= tn, ~bracket)
+    return walk.R, walk.cursor
 
 
 def explore_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
@@ -238,11 +265,10 @@ def explore_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResu
     """
     work = _as_monotone_walk_problem(problem, True)
     width, t1, t2 = _explore_split(work.K, T)
-    z = variates.prefix(width)
     reps = variates.reps
     R, cursor = _bracket_walk(work.K, np.full(reps, t1), work.tau, work.sigma / math.sqrt(t2),
-                              lambda arm, n: work.means[arm - 1], z, np.arange(reps),
-                              np.zeros(reps, dtype=np.int64))
+                              lambda arm, _: work.means[arm - 1], variates.prefix(width),
+                              np.arange(reps))
     n = work.n_original
     return BatchResult(R - 1, t2 * cursor, n, band=(R - 1, n))
 
@@ -251,26 +277,20 @@ def naive_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult
     """:func:`naive` for every replication of ``variates`` in lockstep."""
     work = _as_monotone_walk_problem(problem, True)
     H, n = _naive_split(work.K, T)
-    z = variates.prefix(H)
     reps, tau = variates.reps, work.tau
-    rows = np.arange(reps)
-    scale = work.sigma / math.sqrt(n)
-    L = np.ones(reps, dtype=np.int64)
-    R = np.full(reps, work.K, dtype=np.int64)
-    cursor = np.zeros(reps, dtype=np.int64)
-    for _ in range(H):
-        M = (L + R) // 2
-        est = work.means[M - 1] + scale * z[rows, cursor]
-        cursor += M > 1  # arm 1, the low sentinel, is free
-        inner = R > L + 1  # a leaf descends into its own duplicate
-        L = np.where(inner & (est <= tau), M, L)
-        R = np.where(inner & (est > tau), M, R)
-    K = work.n_original
-    return BatchResult(R - 1, n * cursor, K, band=(R - 1, K))
+    walk = _Descent(work.K, np.full(reps, H), work.sigma / math.sqrt(n),
+                    lambda arm, _: work.means[arm - 1], variates.prefix(H), np.arange(reps))
+    down, up = np.ones(reps, dtype=bool), np.zeros(reps, dtype=bool)  # no row backtracks
+    for _, l, r in walk:
+        M = (l + r) // 2
+        est = walk.draw(M, M > 1)  # arm 1, the low sentinel, is free
+        walk.move(M, down, (est <= tau) | (M == l), up)  # a leaf descends into its duplicate
+    K, R = work.n_original, walk.R
+    return BatchResult(R - 1, n * walk.cursor, K, band=(R - 1, K))
 
 
 #: Most ``rows x T1`` elements one lockstep :func:`ctb` walk spans.  Its
-#: ``(rows, T1)`` int64 arrays, at most three alive at once, then take at
+#: ``rows x T1`` int64 arrays, at most three alive at once, then take at
 #: most 2 MiB each; :func:`ctb_batch` splits its problems to stay under it.
 #: A row block of :func:`uniform_batch` and of its scoring spans as many arms.
 _CTB_ELEMENTS = 1 << 18
@@ -294,33 +314,26 @@ def uniform_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResu
 
 
 def _slopes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """:func:`~tbp.walks._slope` elementwise."""
-    with np.errstate(invalid="ignore"):
-        return np.where((lo == -math.inf) & (hi == -math.inf), -math.inf, hi - lo)
+    """:func:`~tbp.walks._slope` elementwise; a :class:`_Descent` step silences its overflows."""
+    return np.where((lo == -math.inf) & (hi == -math.inf), -math.inf, hi - lo)
 
 
 def _slope_walk(Ka: np.ndarray, t1: np.ndarray, tau: np.ndarray, scale: np.ndarray,
                 mean_at: Callable, z: np.ndarray, zrow: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gradexplore`'s walk for every row at once, rows as in :func:`_bracket_walk`.
+    """:func:`gradexplore`'s walk for every row at once, rows as in :class:`_Descent`.
 
-    Row ``r`` walks the concave-augmented tree over ``Ka[r]`` arms, where
-    arms ``1``, ``Ka[r]`` and ``Ka[r] + 1`` are free ``-inf`` arms.  Returns
+    Row ``j`` walks the concave-augmented tree over ``Ka[j]`` arms, where
+    arms ``1``, ``Ka[j]`` and ``Ka[j] + 1`` are free ``-inf`` arms.  Returns
     the lower median of each row's appended arms (meaningless where it
     appended none), how many it appended, and its cursor.
     """
-    rows = Ka.size
-    L = np.ones(rows, dtype=np.int64)
-    R = Ka.copy()
-    depth = np.zeros(rows, dtype=np.int64)
-    cursor = np.zeros(rows, dtype=np.int64)
+    walk = _Descent(Ka, t1, scale, mean_at, z, zrow)
+    rows, steps = Ka.size, walk.steps
     count = np.zeros(rows, dtype=np.int64)
-    steps = int(t1[0]) if rows else 0
-    stack_l = np.empty((rows, steps), dtype=np.int64)
-    stack_r = np.empty((rows, steps), dtype=np.int64)
     appended = np.empty((rows, steps), dtype=np.int64)
-    for n in _walking(t1):
-        l, r, c, zr, sc, tn, ka = L[:n], R[:n], cursor[:n], zrow[:n], scale[:n], tau[:n], Ka[:n]
+    for n, l, r in walk:
+        tn, ka = tau[:n], Ka[:n]
         M = (l + r) // 2
         inner = M > l  # not a leaf
         m_new = M > l + 1  # slot m's arm differs from slots l and l+1
@@ -328,38 +341,23 @@ def _slope_walk(Ka: np.ndarray, t1: np.ndarray, tau: np.ndarray, scale: np.ndarr
         # The slots {l, l+1, m, m+1, r, r+1} in order; a slot draws when its
         # arm is new and not free.  Arms only grow along the slots, so each
         # slot reads the variate after those its predecessors drew.
-        est = []
-        for arm, draws in ((l, l > 1), (l + 1, l + 1 < ka), (M, m_new),
-                           (M + 1, inner & (M + 1 < ka)), (r, r_new & (r < ka)),
-                           (r + 1, r + 1 < ka)):
-            est.append(mean_at(arm, n) + sc * z[zr, c])
-            c += draws
-        e_l, e_l1, e_m, e_m1, e_r, e_r1 = est
+        e_l, e_l1, e_m, e_m1, e_r, e_r1 = [walk.draw(arm, draws) for arm, draws in (
+            (l, l > 1), (l + 1, l + 1 < ka), (M, m_new), (M + 1, inner & (M + 1 < ka)),
+            (r, r_new & (r < ka)), (r + 1, r + 1 < ka))]
         # A repeated arm shares the estimate of its first slot.
         e_m = np.where(m_new, e_m, np.where(inner, e_l1, e_l))
         e_m1 = np.where(inner, e_m1, e_l1)
         e_r = np.where(r_new, e_r, e_m1)
         hit_l, hit_m, hit_r = e_l > tn, e_m > tn, e_r > tn
-        hit = np.flatnonzero(hit_l | hit_m | hit_r)
+        miss = ~(hit_l | hit_m | hit_r)
+        hit = np.flatnonzero(~miss)
         appended[hit, count[hit]] = np.where(hit_l, l, np.where(hit_m, M, r))[hit]
         count[hit] += 1
-        s_m = _slopes(e_m, e_m1)
-        walk = ~(hit_l | hit_m | hit_r)
-        down = walk & (_slopes(e_l, e_l1) > 0) & (_slopes(e_r, e_r1) < 0)
-        right = down & (s_m >= 0)
-        rows_down = np.flatnonzero(down)
-        stack_l[rows_down, depth[rows_down]] = l[rows_down]
-        stack_r[rows_down, depth[rows_down]] = r[rows_down]
-        depth[rows_down] += 1
-        np.copyto(l, M, where=right)
-        np.copyto(r, M, where=down & ~right)
-        up = np.flatnonzero(walk & ~down & (depth[:n] > 0))
-        depth[up] -= 1
-        l[up] = stack_l[up, depth[up]]
-        r[up] = stack_r[up, depth[up]]
+        down = miss & (_slopes(e_l, e_l1) > 0) & (_slopes(e_r, e_r1) < 0)
+        walk.move(M, down, _slopes(e_m, e_m1) >= 0, miss & ~down)
     appended[np.arange(steps) >= count[:, None]] = np.iinfo(np.int64).max
     appended.sort(axis=1)
-    return appended[np.arange(rows), (count - 1) // 2], count, cursor
+    return appended[np.arange(rows), (count - 1) // 2], count, walk.cursor
 
 
 def _splits_by_row(K: np.ndarray, T: int) -> Tuple[np.ndarray, np.ndarray]:

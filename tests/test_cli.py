@@ -324,17 +324,21 @@ def test_module_entry_point(tmp_path):
     assert result.stdout.splitlines()[0] == "0,1,3,5,0"
 
 
-def test_an_overflowing_sample_mean_warns_nothing(capsys):
-    # sigma * z overflows to an infinity on the side of tau its arm's mean is on, so the labels
-    # are exact; no gap overflows, which the instance check would refuse.
+@pytest.mark.parametrize("algo,T", [("uniform", 100), ("explore", 100), ("naive", 100),
+                                    ("ctb", 400)])
+def test_an_overflowing_sample_mean_warns_nothing(capsys, algo, T):
+    # sigma * z overflows to an infinity on the side of tau its arm's mean is on, so uniform's
+    # labels are exact; no gap overflows, which the instance check would refuse.  The tree
+    # searches' free sentinels read their exact means.
     argv = ["run", "--setting", "custom", "--means=-1.7e308,1.7e308", "--tau", "0",
-            "--sigma", "1e308", "--algo", "uniform", "--T", "100", "--reps", "20", "--threads", "1"]
+            "--sigma", "1e308", "--algo", algo, "--T", str(T), "--reps", "20", "--threads", "1"]
     result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "tbp", *argv],
                             capture_output=True, text=True, timeout=60)
     code, out, _ = run_cli(capsys, *argv)
     assert (result.returncode, result.stderr, code) == (0, "", 0)
     assert result.stdout == out
-    assert out.splitlines()[-1].split(",")[8] == "0"  # no replication errs
+    if algo == "uniform":
+        assert out.splitlines()[-1].split(",")[8] == "0"  # no replication errs
 
 
 @pytest.fixture(autouse=True)

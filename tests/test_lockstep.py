@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tbp import (BudgetError, Problem, RngStream, Setting, ShapeClass, ShapeError, augment,
                  make_setting, true_labels)
@@ -32,6 +32,11 @@ from tbp.tree import max_depth
 
 PAIRS = {"explore": (explore, explore_batch), "naive": (naive, naive_batch),
          "uniform": (uniform, uniform_batch)}
+
+#: Means whose sample means overflow: sigma * z is an infinity for a few variates, and a free
+#: sentinel must still read its exact mean.  The second is concave.
+OVERFLOWING = Problem([-1.7e308, 1.7e308], 1e308, 0.0)
+OVERFLOWING_CONCAVE = Problem([-1e308, 1e308, 1e308, -1e308], 1e308, 0.0)
 
 
 def budget_floor(algo, K):
@@ -77,6 +82,8 @@ def assert_rows_match(algo, problem, T, seed, start, stop, block=None):
 @given(problem=instances(), algo=st.sampled_from(sorted(PAIRS)),
        scale=st.sampled_from([1, 1, 2, 10]), slack=st.integers(0, 30),
        seed=st.integers(0, 2**32 - 1), start=st.integers(1, 10**6), count=st.integers(1, 12))
+@example(problem=OVERFLOWING, algo="explore", scale=1, slack=0, seed=2, start=1, count=12)
+@example(problem=OVERFLOWING, algo="naive", scale=1, slack=0, seed=2, start=1, count=12)
 def test_lockstep_equals_scalar(problem, algo, scale, slack, seed, start, count):
     T = scale * budget_floor(algo, problem.K) + slack
     assert_rows_match(algo, problem, T, seed, start, start + count)
@@ -198,6 +205,7 @@ def assert_ctb_rows_match(problems, T, seed, start, stop, block=None):
 @given(problems=st.lists(concave_instances(), min_size=1, max_size=4),
        scale=st.sampled_from([1, 1, 2, 5]), slack=st.integers(0, 40),
        seed=st.integers(0, 2**32 - 1), start=st.integers(1, 10**6), count=st.integers(1, 6))
+@example(problems=[OVERFLOWING_CONCAVE], scale=1, slack=0, seed=2, start=5, count=6)
 def test_ctb_lockstep_equals_scalar(problems, scale, slack, seed, start, count):
     T = scale * max(ctb_floor(p.K) for p in problems) + slack
     assert_ctb_rows_match(problems, T, seed, start, start + count)
