@@ -115,12 +115,13 @@ def _naive_split(K: int, T: int) -> Tuple[int, int]:
     return H, n
 
 
-def _grad_split(K: int, budget: int) -> Tuple[int, int]:
-    """``budget_split(K, 3 * budget)`` of :func:`gradexplore`, which needs ``T2 >= 12``."""
+def _grad_split(K: int, budget: int) -> Tuple[int, int, int]:
+    """Prefix width ``6 T1`` of one :func:`gradexplore` walk (at most six variates per step)
+    and ``(T1, T2) = budget_split(K, 3 * budget)``, which needs ``T2 >= 12``."""
     if budget >= 1:
         t1, t2 = budget_split(K, 3 * budget)
         if t2 >= 12:
-            return t1, t2
+            return 6 * t1, t1, t2
     raise BudgetError(f"budget {budget} too small: need floor(budget / T1) >= 12")
 
 
@@ -158,7 +159,7 @@ def ctb_check(problem: Problem, T: int, *, check_shape: bool = True) -> Tuple[in
         raise ValueError("ctb expects an un-augmented problem")
     if check_shape and not shape_check(problem, ShapeClass.CONCAVE):
         raise ShapeError("means are not concave")
-    return _grad_split(problem.K + 2, T // 3)
+    return _grad_split(problem.K + 2, T // 3)[1:]
 
 
 def _segments(problem: Problem, k_hat: int) -> Tuple[Problem, Problem]:
@@ -177,8 +178,8 @@ def _uniform_estimates(problem: Problem, n: int, z: np.ndarray) -> np.ndarray:
 
 
 class _Descent:
-    """The state every lockstep tree walk shares: each row's node ``(L, R)``, depth, ancestor
-    stack and variate cursor.
+    """The state every lockstep tree walk shares: each row's node ``(L, R)``, variate cursor,
+    and the depth and ancestor stack of the walks that backtrack, which :meth:`move` keeps.
 
     Row ``j`` starts at the root ``(1, K[j])`` and walks ``t1[j]`` steps, ``t1`` sorted
     longest first.  It reads its variates from ``z[zrow[j]]`` starting at ``cursor[j]``, and
@@ -274,17 +275,18 @@ def explore_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResu
 
 
 def naive_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
-    """:func:`naive` for every replication of ``variates`` in lockstep."""
+    """:func:`naive` for every replication of ``variates`` in lockstep; no row backtracks."""
     work = _as_monotone_walk_problem(problem, True)
     H, n = _naive_split(work.K, T)
     reps, tau = variates.reps, work.tau
     walk = _Descent(work.K, np.full(reps, H), work.sigma / math.sqrt(n),
                     lambda arm, _: work.means[arm - 1], variates.prefix(H), np.arange(reps))
-    down, up = np.ones(reps, dtype=bool), np.zeros(reps, dtype=bool)  # no row backtracks
     for _, l, r in walk:
         M = (l + r) // 2
         est = walk.draw(M, M > 1)  # arm 1, the low sentinel, is free
-        walk.move(M, down, (est <= tau) | (M == l), up)  # a leaf descends into its duplicate
+        right = (est <= tau) | (M == l)  # a leaf descends into its duplicate
+        np.copyto(l, M, where=right)  # every row descends: no stack, no move
+        np.copyto(r, M, where=~right)
     K, R = work.n_original, walk.R
     return BatchResult(R - 1, n * walk.cursor, K, band=(R - 1, K))
 
@@ -443,8 +445,8 @@ def ctb_batch(problems: Sequence[Problem], T: int, variates: VariateBlock) -> It
 
 def _ctb_width(t1: int) -> int:
     """Prefix width ``12 T1`` of one :func:`ctb` replication whose slope walk takes ``t1``
-    steps: each phase draws at most six (slope walk) or three variates per step, over at
-    most ``T1`` steps, as the sub-instances are no longer than the instance."""
+    steps: the slope walk's ``6 T1`` (:func:`_grad_split`), then at most ``3 T1`` for each
+    search (:func:`_explore_split`), as the sub-instances are no longer than the instance."""
     return 12 * t1
 
 

@@ -192,12 +192,10 @@ def _outcomes(problem: Problem, labels: np.ndarray) -> Tuple[np.ndarray, np.ndar
 def _band_outcomes(values, tau, l, r) -> Tuple[np.ndarray, np.ndarray]:
     """Per row, the band rule's labels for arms ``l..r`` scored against the threshold rule.
 
-    Returns whether the row mislabels an arm of ``values`` and the largest gap
-    among the arms it mislabels (0 if none), as :func:`_outcomes` of
-    :func:`~tbp.env._band_labels` ``(values.size, l, r)`` would, without
-    building the labels: from prefix and suffix tables over the arms, so a
-    row costs O(1) when every band is a suffix (``r = n``) and one range
-    maximum otherwise.
+    Returns whether the row mislabels an arm of ``values`` and the largest gap among the arms
+    it mislabels (0 if none), as :func:`_outcomes` of :func:`~tbp.env._band_labels`
+    ``(values.size, l, r)`` would, without building the labels: from prefix and suffix tables
+    over the arms, and one range maximum per row for the gaps inside its band.
     """
     n = values.size
     above = _above(values, tau)
@@ -211,11 +209,9 @@ def _band_outcomes(values, tau, l, r) -> Tuple[np.ndarray, np.ndarray]:
     e = np.clip(r, s, n)
     above_out = count[s] + count[n] - count[e]
     below_in = (e - s) - (count[e] - count[s])
-    if np.all(e == n):
-        inside = np.append(np.maximum.accumulate(gap_below[::-1])[::-1], 0.0)[s]
-    else:  # segment 2i of the interleaved ends is arms s_i+1..e_i; an empty one reads 0
-        inside = np.maximum.reduceat(np.append(gap_below, 0.0), np.stack([s, e], -1).ravel())[::2]
-        inside[s == e] = 0.0
+    # Segment 2i of the interleaved ends is arms s_i+1..e_i; an empty one reads 0.
+    inside = np.maximum.reduceat(np.append(gap_below, 0.0), np.stack([s, e], -1).ravel())[::2]
+    inside[s == e] = 0.0
     return above_out + below_in > 0, np.maximum(np.maximum(first[s], last[e]), inside)
 
 
@@ -329,8 +325,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> List[ResultRow
             regrets = np.concatenate([part[c][1] for part in parts])
             n_err = int(errs.sum())
             ci_low, ci_high = wilson_interval(n_err, config.reps)
-            est = ErrorEstimate(n_err, n_err / config.reps, ci_low, ci_high,
-                                float(np.sum(regrets) / config.reps))
+            with np.errstate(over="ignore"):  # regrets near the float maximum overflow a sum
+                total = np.sum(regrets)
+            regret = total / config.reps if np.isfinite(total) else np.sum(regrets / config.reps)
+            est = ErrorEstimate(n_err, n_err / config.reps, ci_low, ci_high, float(regret))
         rows.append(ResultRow(config.setting.value, algo, K, config.T, delta, config.sigma,
                               config.tau, config.reps, config.base_seed,
                               skipped=est is None, estimate=est))

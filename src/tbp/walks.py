@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import algos
-from .algos import (ShapeError, _as_monotone_walk_problem, _crossing, _grad_split, _naive_split,
-                    _uniform_estimates, _uniform_split, budget_split, ctb_check)
+from .algos import (ShapeError, _as_monotone_walk_problem, _crossing, _explore_split, _grad_split,
+                    _naive_split, _uniform_estimates, _uniform_split, ctb_check)
 from .diagnostics import distance_series, favorable_series  # noqa: F401 (tbp.algos re-exports them)
 from .env import (Classification, Problem, RngStream, ShapeClass, _band_labels, _threshold_labels,
                   augment, shape_check)
@@ -246,9 +246,9 @@ def explore(problem: Problem, T: int, rng: RngStream, *, check_shape: bool = Tru
     """
     work = _as_monotone_walk_problem(problem, check_shape)
     K, tau, mu = work.K, work.tau, work.derived(_float_means)
-    t1, t2 = budget_split(K, T)
+    width, t1, t2 = _explore_split(K, T)
     scale = work.sigma / math.sqrt(t2)
-    z, c = rng.read_ahead(3 * t1), 0
+    z, c = rng.read_ahead(width), 0
     walk = _Walk(K)
     node = walk.node
     for _ in range(t1):
@@ -331,10 +331,10 @@ def gradexplore(
     if check_shape and not shape_check(problem, ShapeClass.CONCAVE):
         raise ShapeError("means are not concave")
     K, tau, mu = problem.K, problem.tau, problem.derived(_float_means)
-    t1, t2 = _grad_split(K, budget)
+    width, t1, t2 = _grad_split(K, budget)
     n = t2 // 12
     scale = problem.sigma / math.sqrt(n)
-    z, c = rng.read_ahead(6 * t1), 0
+    z, c = rng.read_ahead(width), 0
     walk = _Walk(K)
     node = walk.node
     appended: List[int] = []

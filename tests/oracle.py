@@ -89,7 +89,7 @@ def gradexplore(problem, budget, rng):
     if problem.sentinels is None:
         problem = augment(problem, ShapeClass.CONCAVE)
     tau = problem.tau
-    t1, t2 = _grad_split(problem.K, budget)
+    _, t1, t2 = _grad_split(problem.K, budget)
     n = max(1, t2 // 12)
     v, steps, appended, total = root(problem.K), [], [], 0
     for _ in range(t1):

@@ -341,6 +341,20 @@ def test_an_overflowing_sample_mean_warns_nothing(capsys, algo, T):
         assert out.splitlines()[-1].split(",")[8] == "0"  # no replication errs
 
 
+def test_a_regret_sum_that_overflows_gives_a_finite_mean(capsys):
+    # Three replications err, each by a gap of 1.7e308: their sum overflows, their mean does not.
+    argv = ["run", "--setting", "custom", "--means=-1.7e308,1.7e308", "--tau", "0",
+            "--sigma", "1e308", "--algo", "explore", "--T", "27", "--reps", "500", "--seed", "2",
+            "--threads", "1"]
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "tbp", *argv],
+                            capture_output=True, text=True, timeout=60)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (result.returncode, result.stderr, code) == (0, "", 0)
+    assert result.stdout == out
+    row = out.splitlines()[-1].split(",")
+    assert row[8] == "3" and float(row[12]) == pytest.approx(1.7e308 / 500 * 3)
+
+
 @pytest.fixture(autouse=True)
 def _grids_stay_small(monkeypatch):
     """Fail at once, instead of exhausting memory, should a grid range larger than

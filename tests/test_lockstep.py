@@ -310,6 +310,43 @@ def test_check_returns_the_widest_prefix_its_walker_reads(problem, scale, slack)
         assert max(block.requests) == width, name
 
 
+class RecordingStream(RngStream):
+    """An :class:`RngStream` that records every read-ahead width it is asked for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.requests = []
+
+    def read_ahead(self, n):
+        self.requests.append(n)
+        return super().read_ahead(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=instances(), concave=concave_instances(), scale=st.sampled_from([1, 2, 10]),
+       slack=st.integers(0, 30))
+def test_scalar_walkers_read_ahead_the_registry_width(problem, concave, scale, slack):
+    """Each scalar walk reads ahead the width its registry ``check`` gives, by the same rule."""
+    for name, walk in (("explore", explore), ("naive", naive)):
+        T = scale * budget_floor(name, problem.K) + slack
+        rng = RecordingStream(5, 0)
+        walk(problem, T, rng)
+        assert rng.requests == [ALGORITHMS[name].check(problem, T)], name
+    T = scale * ctb_floor(concave.K) + slack
+    rng = RecordingStream(5, 0)
+    ctb(concave, T, rng)
+    # The slope walk reads half of ctb's width; the two searches together at most as much.
+    slope, *searches = rng.requests
+    assert 2 * slope == ALGORITHMS["ctb"].check(concave, T)
+    assert len(searches) in (0, 2) and sum(searches) <= slope
+
+
+def test_ctb_on_no_problems_yields_nothing_and_draws_nothing():
+    block = VariateBlock(5, 0, 3)
+    assert list(ctb_batch([], 300, block)) == []
+    assert block._generators is None
+
+
 #: The recorded walker of every algorithm with a lockstep walker.
 SCALAR = {"explore": explore, "naive": naive, "uniform": uniform, "ctb": ctb}
 
