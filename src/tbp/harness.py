@@ -15,8 +15,8 @@ import math
 import os
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import product, repeat
-from typing import List, Optional, Sequence, Tuple
+from itertools import chain, islice, product, repeat
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,41 +189,78 @@ def _outcomes(problem: Problem, labels: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return mismatch.any(axis=1), _regrets(mismatch, _threshold_gaps(means, tau))
 
 
-def _band_outcomes(values, tau, l, r) -> Tuple[np.ndarray, np.ndarray]:
-    """Per row, the band rule's labels for arms ``l..r`` scored against the threshold rule.
+def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the largest of ``values[lo:hi]``, 0 if it is empty; ``lo <= hi < values.size``."""
+    out = np.maximum.reduceat(values, np.stack([lo, hi], -1).ravel())[::2]
+    out[lo == hi] = 0.0
+    return out
 
-    Returns whether the row mislabels an arm of ``values`` and the largest gap among the arms
-    it mislabels (0 if none), as :func:`_outcomes` of :func:`~tbp.env._band_labels`
-    ``(values.size, l, r)`` would, without building the labels: from prefix and suffix tables
-    over the arms, and one range maximum per row for the gaps inside its band.
+
+def _band_chunk(problems: Sequence[Problem], bands) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Per cell ``(problem, (l, r))``, :func:`_outcomes` of its band rule's labels
+    :func:`~tbp.env._band_labels` ``(n, l, r)``, without building them; the cells share a ``tau``.
+
+    The cells' real means are laid end to end, and the threshold and gap rules are applied to
+    them once: prefix counts of arms above, and their gaps.  A row is scored by lookups at its
+    band's absolute ends and by three range maxima: the above gaps before and after its band
+    in its cell, and the below gaps inside it.
     """
-    n = values.size
-    above = _above(values, tau)
-    gap = _threshold_gaps(values, tau)
-    gap_above, gap_below = np.where(above, gap, 0.0), np.where(above, 0.0, gap)
-    count = np.concatenate(([0], np.cumsum(above)))  # arms above among 1..k
-    first = np.concatenate(([0.0], np.maximum.accumulate(gap_above)))  # largest above gap in 1..k
-    last = np.append(np.maximum.accumulate(gap_above[::-1])[::-1], 0.0)  # ... in k+1..n
-    # The band labels arms s+1..e above and the rest below, s <= e; an empty band has s == e.
-    s = np.clip(l - 1, 0, n)
-    e = np.clip(r, s, n)
-    above_out = count[s] + count[n] - count[e]
+    sizes = [problem.n_original for problem in problems]
+    reps = [np.size(l) for l, _ in bands]
+    values = np.concatenate([problem.original_means for problem in problems])
+    above = _above(values, problems[0].tau)
+    gap = _threshold_gaps(values, problems[0].tau)
+    count = np.zeros(values.size + 1, dtype=np.intp)  # arms above among the first k
+    np.cumsum(above, out=count[1:])
+    gap_above, gap_below = np.zeros((2, values.size + 1))  # a last 0: every end is an index
+    np.copyto(gap_above[:-1], gap, where=above)
+    np.copyto(gap_below[:-1], gap, where=~above)
+    first, last, l, r = np.empty((4, sum(reps)), dtype=np.intp)  # per row: cell ends, band ends
+    cells, row, arm = [], 0, 0
+    for (cl, cr), k, n in zip(bands, reps, sizes):
+        rows = slice(row, row + k)
+        first[rows], last[rows], l[rows], r[rows] = arm, arm + n, cl, cr
+        cells.append(rows)
+        row, arm = row + k, arm + n
+    # The band labels the arms after s and up to e above, the rest of its cell below,
+    # first <= s <= e <= last; an empty band has s == e.
+    s = np.minimum(np.maximum(l - 1, 0) + first, last)
+    e = np.minimum(np.maximum(r + first, s), last)
+    above_out = count[s] - count[first] + count[last] - count[e]
     below_in = (e - s) - (count[e] - count[s])
-    # Segment 2i of the interleaved ends is arms s_i+1..e_i; an empty one reads 0.
-    inside = np.maximum.reduceat(np.append(gap_below, 0.0), np.stack([s, e], -1).ravel())[::2]
-    inside[s == e] = 0.0
-    return above_out + below_in > 0, np.maximum(np.maximum(first[s], last[e]), inside)
+    erred = above_out + below_in > 0
+    outside = np.maximum(_range_max(gap_above, first, s), _range_max(gap_above, e, last))
+    regrets = np.maximum(outside, _range_max(gap_below, s, e))
+    return [(erred[rows], regrets[rows]) for rows in cells]
 
 
-def _scored(problem: Problem, res: algos.BatchResult) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_outcomes` of ``res.labels``, from a tree search's band ends or, in row
-    blocks, from :func:`~tbp.algos.uniform_batch`'s labels: no ``reps x K`` array is built."""
-    if res.band is not None:
-        return _band_outcomes(problem.original_means, problem.tau, *res.band)
-    erred, regrets = np.empty(res.above.shape[0], dtype=bool), np.empty(res.above.shape[0])
-    for rows in algos._row_blocks(*res.above.shape):
-        erred[rows], regrets[rows] = _outcomes(problem, res.above[rows])
-    return erred, regrets
+#: Most arms, and most rows, one :func:`_band_chunk` spans; a larger cell is scored alone.
+_CHUNK_ARMS, _CHUNK_ROWS = 1 << 12, 1 << 9
+
+
+def _scored(problems: Sequence[Problem],
+            results: Iterable[algos.BatchResult]) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`_outcomes` of each result's labels on its problem, in order, building no
+    ``reps x K`` array: tree-search cells from their band ends, consecutive cells a chunk at
+    a time (:func:`_band_chunk`), and :func:`~tbp.algos.uniform_batch`'s labels in row
+    blocks.  ``results`` are one lockstep call's, with one ``tau`` and one row count; each
+    chunk is scored as soon as the next cell would overflow it, before that cell is walked."""
+    chunk, arms, rows = [], 0, 0
+    successors = chain(islice(problems, 1, None), [None])
+    for problem, res, successor in zip(problems, results, successors):
+        k = res.total_budget.size
+        if res.band is None:
+            erred, regrets = np.empty(k, dtype=bool), np.empty(k)
+            for block in algos._row_blocks(*res.above.shape):
+                erred[block], regrets[block] = _outcomes(problem, res.above[block])
+            yield erred, regrets
+            continue
+        chunk.append((problem, res.band))
+        arms, rows = arms + problem.n_original, rows + k
+        if (successor is None or arms + successor.n_original > _CHUNK_ARMS
+                or rows + k > _CHUNK_ROWS):
+            yield from _band_chunk(*zip(*chunk))
+            chunk, arms, rows = [], 0, 0
 
 
 def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool, float]:
@@ -236,8 +273,8 @@ def run_trial(config: ExperimentConfig, algo: str, rep_index: int) -> Tuple[bool
         raise ValueError(f"unknown algorithm {algo!r}")
     problem = build_instance(config, config.K, config.delta)
     variates = VariateBlock(config.base_seed, rep_index, rep_index + 1)
-    (res,) = algos.ALGORITHMS[algo].lockstep([problem], config.T, variates)
-    errs, regrets = _scored(problem, res)
+    results = algos.ALGORITHMS[algo].lockstep([problem], config.T, variates)
+    ((errs, regrets),) = _scored([problem], results)
     return bool(errs[0]), float(regrets[0])
 
 
@@ -257,8 +294,8 @@ def _run_task(config: ExperimentConfig, start: int,
     only on the instance and ``T``, so every task skips the same cells.
     Every cell is checked first, and the block is drawn once, at the widest prefix a
     checked cell reads, so no walk grows it.  Each algorithm walks all the cells that pass
-    its rule in one lockstep call, and each cell is scored from its instance as its labels
-    arrive, so a task keeps no truth arrays.
+    its rule in one lockstep call, and the cells are scored from their instances as their
+    labels arrive (:func:`_scored`), so a task keeps no truth arrays.
     """
     problems = [build_instance(config, K, delta) for K, delta in _grid(config)]
     kept, widest = {}, 0  # algorithm -> grid points that pass its rule; their widest prefix
@@ -272,9 +309,10 @@ def _run_task(config: ExperimentConfig, start: int,
     variates.prefix(widest)  # draws nothing when every cell is skipped
     out = {}  # (grid point, algorithm) -> outcomes
     for name, cells in kept.items():
-        results = algos.ALGORITHMS[name].lockstep([problems[g] for g in cells], config.T, variates)
-        for g, res in zip(cells, results):
-            out[g, name] = _scored(problems[g], res)
+        cell_problems = [problems[g] for g in cells]
+        results = algos.ALGORITHMS[name].lockstep(cell_problems, config.T, variates)
+        for g, outcomes in zip(cells, _scored(cell_problems, results)):
+            out[g, name] = outcomes
     return [out.get(cell) for cell in product(range(len(problems)), config.algos)]
 
 
@@ -318,20 +356,20 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> List[ResultRow
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_task, repeat(config), *zip(*ranges)))
     rows: List[ResultRow] = []
-    for c, ((K, delta), algo) in enumerate(product(_grid(config), config.algos)):
-        est = None
-        if parts[0][c] is not None:
-            errs = np.concatenate([part[c][0] for part in parts])
-            regrets = np.concatenate([part[c][1] for part in parts])
-            n_err = int(errs.sum())
-            ci_low, ci_high = wilson_interval(n_err, config.reps)
-            with np.errstate(over="ignore"):  # regrets near the float maximum overflow a sum
-                total = np.sum(regrets)
-            regret = total / config.reps if np.isfinite(total) else np.sum(regrets / config.reps)
-            est = ErrorEstimate(n_err, n_err / config.reps, ci_low, ci_high, float(regret))
-        rows.append(ResultRow(config.setting.value, algo, K, config.T, delta, config.sigma,
-                              config.tau, config.reps, config.base_seed,
-                              skipped=est is None, estimate=est))
+    reps, setting = config.reps, config.setting.value
+    with np.errstate(over="ignore"):  # regrets near the float maximum overflow a sum
+        for c, ((K, delta), algo) in enumerate(product(_grid(config), config.algos)):
+            est = None
+            if parts[0][c] is not None:
+                errs, regrets = parts[0][c] if len(parts) == 1 else (
+                    np.concatenate(arrays) for arrays in zip(*(part[c] for part in parts)))
+                n_err = np.count_nonzero(errs)
+                total = float(regrets.sum())  # np.sum's reduction, without its wrapper
+                regret = total / reps if math.isfinite(total) else float((regrets / reps).sum())
+                est = ErrorEstimate(n_err, n_err / reps, *wilson_interval(n_err, reps), regret)
+            rows.append(ResultRow(setting, algo, K, config.T, delta, config.sigma,
+                                  config.tau, reps, config.base_seed,
+                                  skipped=est is None, estimate=est))
     return rows
 
 

@@ -1,3 +1,4 @@
+import gc
 import re
 import subprocess
 import sys
@@ -322,6 +323,32 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "0,1,3,5,0"
+
+
+def test_main_freezes_the_heap_after_dispatch_and_exits_with_its_code(monkeypatch):
+    seen = []
+
+    def fake_dispatch(argv):
+        seen.append((argv, gc.get_freeze_count()))
+        return 2
+    monkeypatch.setattr(cli, "dispatch", fake_dispatch)
+    monkeypatch.setattr(sys, "argv", ["tbp", "tree", "--K", "5"])
+    before = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 2
+        assert seen == [(["tree", "--K", "5"], before)]  # dispatch ran unfrozen
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
+
+
+def test_dispatch_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, "sweep", "--setting", "1", "--algo", "explore,uniform", "--K", "8",
+                         "--T", "300", "--sweep", "delta", "--grid", "0.3,0.5", "--reps", "4")
+    assert code == 0 and gc.get_freeze_count() == before
 
 
 @pytest.mark.parametrize("algo,T", [("uniform", 100), ("explore", 100), ("naive", 100),

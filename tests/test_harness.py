@@ -11,8 +11,8 @@ import tbp.harness
 from tbp import (ExperimentConfig, Problem, Setting, gaps, make_setting, run_experiment, run_trial,
                  true_labels, wilson_interval, write_csv)
 from tbp.env import VariateBlock, _band_labels
-from tbp.harness import (ALGORITHMS, CSV_HEADER, _band_outcomes, _outcomes, _row_line, _scored,
-                         plan_tasks, simple_regret)
+from tbp.harness import (ALGORITHMS, CSV_HEADER, _band_chunk, _outcomes, _row_line, _run_task,
+                         _scored, plan_tasks, simple_regret)
 
 
 def cfg(**overrides):
@@ -150,9 +150,81 @@ def bands(draw):
 def test_a_band_is_scored_from_its_ends_as_its_labels_are(band):
     problem, l, r = band
     want = _outcomes(problem, _band_labels(problem.K, l, r))
-    got = _band_outcomes(problem.means, problem.tau, l, r)
+    (got,) = _band_chunk([problem], [(l, r)])
     for row, (w, g) in enumerate(zip(want, got)):
         assert g.dtype == w.dtype and np.array_equal(g, w), (row, l, r)
+
+
+@st.composite
+def band_cells(draw):
+    """Consecutive cells of one sweep, each a small instance with arms at tau and 1-7 band
+    rows, ends out of range (``l <= 0``, ``r > n``) and empty bands (``l > r``) included; a
+    cell of an explore-like search has the scalar ``r = n``."""
+    cells, tau = [], draw(st.sampled_from([0.0, -1.5, 2.25]))
+    for _ in range(draw(st.integers(1, 6))):
+        offsets = draw(st.lists(st.one_of(st.sampled_from([0.0, -0.5, 0.5]), st.floats(-5, 5)),
+                                min_size=1, max_size=60))
+        n, rows = len(offsets), draw(st.integers(1, 7))
+        l = np.array(draw(st.lists(st.integers(-2, n + 2), min_size=rows, max_size=rows)))
+        r = n if draw(st.booleans()) else np.array(
+            draw(st.lists(st.integers(-2, n + 2), min_size=rows, max_size=rows)))
+        cells.append((Problem([tau + x for x in offsets], 1.0, tau), l, r))
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=band_cells())
+def test_band_cells_are_scored_in_chunks_as_their_labels_are(cells):
+    want = [_outcomes(problem, _band_labels(problem.K, l, r)) for problem, l, r in cells]
+    problems = [problem for problem, _, _ in cells]
+    results = [tbp.algos.BatchResult(None, np.zeros(np.size(l), dtype=np.int64), problem.K,
+                                     band=(l, r)) for problem, l, r in cells]
+    # One arm a chunk scores every cell alone, three arms group some, the default all of them.
+    for arms in (1, 3, tbp.harness._CHUNK_ARMS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tbp.harness, "_CHUNK_ARMS", arms)
+            got = list(_scored(problems, results))
+        assert len(got) == len(want)
+        for cell, ((w_err, w_reg), (g_err, g_reg)) in enumerate(zip(want, got)):
+            assert g_err.dtype == w_err.dtype and np.array_equal(g_err, w_err), (arms, cell)
+            assert g_reg.dtype == w_reg.dtype and np.array_equal(g_reg, w_reg), (arms, cell)
+
+
+def test_a_chunk_holds_at_most_its_bound_of_arms_and_rows_and_is_scored_when_full(monkeypatch):
+    events = []
+    monkeypatch.setattr(tbp.harness, "_band_chunk",
+                        lambda problems, bands: events.append([p.K for p in problems])
+                        or [(None, None)] * len(problems))
+    monkeypatch.setattr(tbp.harness, "_CHUNK_ARMS", 10)
+    monkeypatch.setattr(tbp.harness, "_CHUNK_ROWS", 6)
+    sizes = [4, 5, 12, 1, 3, 3, 3, 2]
+    problems = [Problem(np.linspace(-1, 1, k), 1.0, 0.0) for k in sizes]
+
+    def walks():  # a lockstep call's results, each walked when it is asked for
+        for n in sizes:
+            events.append(n)
+            yield tbp.algos.BatchResult(None, np.zeros(2, dtype=np.int64), n,
+                                        band=(np.ones(2, dtype=np.int64), n))
+    assert len(list(_scored(problems, walks()))) == len(sizes)
+    # 12 arms exceed the bound, so that cell goes alone; 2 rows more than 1 + 3 + 3's 6 would
+    # pass the row bound.  A chunk is scored before the cell that does not fit in it is walked.
+    assert events == [4, 5, [4, 5], 12, [12], 1, 3, 3, [1, 3, 3], 3, 2, [3, 2]]
+
+
+@pytest.mark.parametrize("reps", [1, 7, 9, 129, 1025, 2049])
+def test_the_mean_regret_is_the_sum_of_every_replication_over_reps(monkeypatch, reps):
+    """However the replications split into tasks, a cell's mean regret is one sum over all of
+    them, divided by ``reps``, never a sum of per-task sums.  A task's outcomes depend only on
+    its replications, so one task over all of them gives their concatenation."""
+    means = tuple(np.round(np.linspace(-1.3, 0.9, 24) ** 3, 4))  # 24 distinct gaps
+    config = cfg(setting=Setting.CUSTOM, algos=("explore", "naive", "uniform"), K=24, T=200,
+                 sigma=2.0, reps=reps, custom_means=means)
+    want = [np.sum(regrets) / reps for _, regrets in _run_task(config, 0, reps)]
+    for task_reps in (tbp.harness._TASK_REPS, 4):
+        monkeypatch.setattr(tbp.harness, "_TASK_REPS", task_reps)
+        got = [row.estimate.mean_simple_regret for row in run_experiment(config)]
+        assert got == [float(w) for w in want], task_reps
+    assert reps == 1 or all(w > 0 for w in want)
 
 
 @pytest.mark.parametrize("problem", [
@@ -171,7 +243,7 @@ def test_every_lockstep_cell_is_scored_as_its_labels(monkeypatch, problem):
         except ValueError:
             continue
         (res,) = entry.lockstep([problem], 3000, VariateBlock(11, 3, 40))
-        erred, regrets = _scored(problem, res)
+        ((erred, regrets),) = _scored([problem], [res])
         want_erred, want_regrets = _outcomes(problem, res.labels)
         assert np.array_equal(erred, want_erred) and np.array_equal(regrets, want_regrets), name
 
