@@ -180,6 +180,8 @@ def _uniform_estimates(problem: Problem, n: int, z: np.ndarray) -> np.ndarray:
 class _Descent:
     """The state every lockstep tree walk shares: each row's node ``(L, R)``, variate cursor,
     and the depth and ancestor stack of the walks that backtrack, which :meth:`move` keeps.
+    A child shares one end with its parent, so the stack holds only the end each descent
+    replaced.
 
     Row ``j`` starts at the root ``(1, K[j])`` and walks ``t1[j]`` steps, ``t1`` sorted
     longest first.  It reads its variates from ``z[zrow[j]]`` starting at ``cursor[j]``, and
@@ -196,10 +198,9 @@ class _Descent:
         self.L, self.R = np.ones(rows, dtype=np.int64), np.full(rows, K, dtype=np.int64)
         self.cursor = np.full(rows, cursor, dtype=np.int64)
         self.depth = np.zeros(rows, dtype=np.int64)
-        # Row j's ancestors are stack_l/stack_r[base[j]:base[j] + depth[j]], the parent last.
+        # Row j's replaced ends are stack[base[j]:base[j] + depth[j]], the parent's last.
         self.steps, self.base = steps, np.arange(rows) * steps
-        self.stack_l = np.empty(rows * steps, dtype=np.int64)
-        self.stack_r = np.empty(rows * steps, dtype=np.int64)
+        self.stack = np.empty(rows * steps, dtype=np.int64)
 
     def __iter__(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
         """Each step's number ``n`` of walking rows, a prefix, and views of their ``L`` and
@@ -219,20 +220,21 @@ class _Descent:
         return self.mean_at(arm, cursor.size) + noise
 
     def move(self, M: np.ndarray, down: np.ndarray, right: np.ndarray, up: np.ndarray) -> None:
-        """Push the node of each ``down`` row and descend to ``(M, R)`` where ``right``, else to
-        ``(L, M)``; pop the parent of each other ``up`` row below the root."""
+        """Descend each ``down`` row to ``(M, R)`` where ``right``, else to ``(L, M)``, pushing
+        the end it replaces; pop the parent of each other ``up`` row below the root."""
         n = M.size
         l, r, depth = self.L[:n], self.R[:n], self.depth[:n]
-        # Every row writes its node above its stack's top; the down rows then keep it.
-        at = self.base[:n] + depth
-        self.stack_l[at], self.stack_r[at] = l, r
+        # Every row writes the end a descent replaces above its stack's top: L going right
+        # (a leaf's duplicate keeps L = M), else R; the down rows then keep it.
+        self.stack[self.base[:n] + depth] = np.where(right, l, r)
         depth += down
         np.copyto(l, M, where=down & right)
         np.copyto(r, M, where=down & ~right)
         rows = (up & (depth > 0)).nonzero()[0]
         depth[rows] -= 1
-        at = self.base[rows] + depth[rows]
-        l[rows], r[rows] = self.stack_l[at], self.stack_r[at]
+        # A parent's interval contains its child's, so its replaced end widens the child back.
+        end = self.stack[self.base[rows] + depth[rows]]
+        l[rows], r[rows] = np.minimum(l[rows], end), np.maximum(r[rows], end)
 
 
 def _bracket_walk(K, t1: np.ndarray, tau, scale, mean_at: Callable, z: np.ndarray,
@@ -270,8 +272,8 @@ def explore_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResu
     R, cursor = _bracket_walk(work.K, np.full(reps, t1), work.tau, work.sigma / math.sqrt(t2),
                               lambda arm, _: work.means[arm - 1], variates.prefix(width),
                               np.arange(reps))
-    n = work.n_original
-    return BatchResult(R - 1, t2 * cursor, n, band=(R - 1, n))
+    k_hat, n = R - 1, work.n_original
+    return BatchResult(k_hat, t2 * cursor, n, band=(k_hat, n))
 
 
 def naive_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult:
@@ -287,13 +289,14 @@ def naive_batch(problem: Problem, T: int, variates: VariateBlock) -> BatchResult
         right = (est <= tau) | (M == l)  # a leaf descends into its duplicate
         np.copyto(l, M, where=right)  # every row descends: no stack, no move
         np.copyto(r, M, where=~right)
-    K, R = work.n_original, walk.R
-    return BatchResult(R - 1, n * walk.cursor, K, band=(R - 1, K))
+    k_hat, K = walk.R - 1, work.n_original
+    return BatchResult(k_hat, n * walk.cursor, K, band=(k_hat, K))
 
 
 #: Most ``rows x T1`` elements one lockstep :func:`ctb` walk spans.  Its
-#: ``rows x T1`` int64 arrays, at most three alive at once, then take at
-#: most 2 MiB each; :func:`ctb_batch` splits its problems to stay under it.
+#: ``rows x T1`` int64 arrays, the slope walk's ancestor stack and appended
+#: arms, then take at most 2 MiB each; :func:`ctb_batch` splits its problems
+#: to stay under it.
 #: A row block of :func:`uniform_batch` and of its scoring spans as many arms.
 _CTB_ELEMENTS = 1 << 18
 

@@ -75,14 +75,13 @@ class _Walk:
 
     The node is the tuple ``(l, m, r, depth, dup, up)``: ``dup`` duplicate
     copies above it, and ``up`` the step at which its parent was visited
-    (``-1`` at the root).  ``stack`` holds its ancestors' tuples.  A leaf's
-    duplicate descent keeps ``(l, m, r)``; ``PARENT`` returns to the node on
-    top of the stack, and the root stays put.
+    (``-1`` at the root).  A leaf's duplicate descent keeps ``(l, m, r)``;
+    ``PARENT`` returns to the parent as ``rows`` recorded it at step ``up``,
+    and the root stays put.
     """
 
     def __init__(self, K: int) -> None:
         self.node = (1, (1 + K) // 2, K, 0, 0, -1)
-        self.stack: List[tuple] = []
         self.rows: List[int] = []  # 9 ints per step: the node's 6, action, budget, appended arm
         self.estimates: List[float] = []
 
@@ -93,12 +92,11 @@ class _Walk:
         rows += node
         rows += (action, spent, appended)
         self.estimates += estimates
+        l, m, r, depth, dup, up = node
         if action == _PARENT:
-            if self.stack:
-                self.node = self.stack.pop()
+            if up >= 0:
+                self.node = tuple(rows[9 * up:9 * up + 6])
         elif action != _STAY:
-            self.stack.append(node)
-            l, m, r, depth, dup, _ = node
             t = len(rows) // 9 - 1  # this step
             if action == _RIGHT:
                 self.node = (m, (m + r) // 2, r, depth + 1, dup, t)

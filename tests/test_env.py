@@ -3,7 +3,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tbp import (
@@ -175,6 +175,18 @@ class TestMakeSetting:
         assert shape_check(p, ShapeClass.CONCAVE)
         assert gaps(p).delta_min >= 0.2
         assert np.any(p.means > p.tau)
+
+    @settings(max_examples=200, deadline=None)
+    @given(K=st.integers(3, 2000), delta=st.floats(1e-6, 1e6), ratio=st.floats(-1e9, 1e9))
+    @example(K=101, delta=0.2, ratio=0.0)  # the raw tent fails the float midpoint test
+    def test_s2_concave_tent_contract(self, K, delta, ratio):
+        # The tent's float fix must keep it concave, every gap >= delta / 2 and its peak above tau.
+        tau = ratio * delta
+        assume(not gap_distorted(delta, tau))
+        p = make_setting(Setting.S2_CONCAVE, K, delta, tau)
+        assert shape_check(p, ShapeClass.CONCAVE)
+        assert gaps(p).delta_min >= delta / 2
+        assert np.any(p.means > tau)
 
     def test_sigma_default_and_override(self):
         assert make_setting(Setting.S2, 4, 0.3, 0.0).sigma == 1.0

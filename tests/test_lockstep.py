@@ -6,6 +6,7 @@ equal the scalar walker on a fresh ``RngStream(seed, start + j)``: same
 cells at once and reports ``k_hat = 0`` where ``ctb`` returns ``None``.
 """
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,6 +340,21 @@ def test_scalar_walkers_read_ahead_the_registry_width(problem, concave, scale, s
     slope, *searches = rng.requests
     assert 2 * slope == ALGORITHMS["ctb"].check(concave, T)
     assert len(searches) in (0, 2) and sum(searches) <= slope
+
+
+def test_descent_allocates_one_ancestor_array():
+    """A lockstep descent keeps one replaced end per ancestor: building one for 1,000 rows
+    of 50 steps traces under 1.25 ``rows x steps`` int64 arrays, where keeping both ends
+    of every ancestor took two."""
+    rows, steps = 1000, 50
+    t1, zrow = np.full(rows, steps), np.arange(rows)
+    tracemalloc.start()
+    try:
+        tbp.algos._Descent(100, t1, 1.0, lambda arm, n: np.zeros(n), np.zeros((rows, 1)), zrow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * rows * steps * 8, peak
 
 
 def test_ctb_on_no_problems_yields_nothing_and_draws_nothing():
